@@ -14,15 +14,15 @@ vet:
 	$(GO) vet ./...
 
 # race runs the concurrency-sensitive packages under the race detector:
-# the real-time runtime (node loop, UDP reader, Status/Snapshot sampling),
-# the sharded multi-group runtime (shared-socket demux, shard loops, the
-# shared burst sender), the protocol core they drive, the flight recorder
-# and health evaluator (sampler goroutine vs concurrent readers), the
-# cluster inspector (parallel probes against live nodes), and the
-# cross-node trace stitcher (parallel /trace collection), and the fault
-# injection layer whose checker audits invariants across restarts (the
-# rt and core lists include the join/state-transfer paths: Cluster.Restart
-# swaps the process on the loop goroutine while Status/Send race it).
+# the live runtime (shard loops, shared-socket demux, the burst sender,
+# Status/Snapshot sampling; rt's tests drive it as a single-group member),
+# the protocol core it drives, the flight recorder and health evaluator
+# (sampler goroutine vs concurrent readers), the cluster inspector
+# (parallel probes against live nodes), the cross-node trace stitcher
+# (parallel /trace collection), and the fault injection layer whose
+# checker audits invariants across restarts (the rt and core lists include
+# the join/state-transfer paths: MultiCluster.Restart swaps each group's
+# process on its shard goroutine while Status/Send race it).
 race:
 	$(GO) test -race ./internal/rt/... ./internal/topics/... ./internal/core/... ./internal/obs/... ./internal/health/... ./internal/inspect/... ./internal/stitch/... ./internal/faultrt/...
 

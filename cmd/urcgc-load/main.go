@@ -33,7 +33,6 @@ import (
 	"urcgc/internal/mid"
 	"urcgc/internal/nodehttp"
 	"urcgc/internal/obs"
-	"urcgc/internal/rt"
 	"urcgc/internal/topics"
 )
 
@@ -75,15 +74,15 @@ func main() {
 		Logf:          logf,
 	}
 
-	cluster, reg, err := startCluster(cfg, *mesh)
+	nodes, stop, reg, err := startCluster(cfg, *mesh)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "urcgc-load:", err)
 		os.Exit(1)
 	}
-	defer cluster.stop()
+	defer stop()
 
 	if *metrics != "" && reg != nil {
-		mux := nodehttp.Mux(nodehttp.Options{Registry: reg, Status: cluster.status})
+		mux := nodehttp.Mux(nodehttp.Options{Registry: reg, Status: nodes[0].Status})
 		ln, err := nodehttp.Serve(*metrics, mux)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "urcgc-load: metrics:", err)
@@ -97,7 +96,7 @@ func main() {
 		transport = "mesh"
 	}
 	fmt.Fprintf(progress(*asJSON), "cluster up: n=%d groups=%d shards=%d transport=%s round=%v batch-window=%v\n",
-		*n, *groups, cluster.shards(), transport, *round, *batchWin)
+		*n, *groups, nodes[0].Shards(), transport, *round, *batchWin)
 	fmt.Fprintf(progress(*asJSON), "driving %d sessions for %v...\n", *sessions, *duration)
 
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)
@@ -122,7 +121,7 @@ func main() {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				t0 := time.Now()
-				_, err := cluster.send(ctx, member, g, body)
+				_, err := nodes[member].Send(ctx, g, body, nil)
 				if err != nil {
 					if ctx.Err() == nil {
 						failed.Add(1)
@@ -147,14 +146,14 @@ func main() {
 	res := loadResult{
 		N:           *n,
 		Groups:      *groups,
-		Shards:      cluster.shards(),
+		Shards:      nodes[0].Shards(),
 		Sessions:    *sessions,
 		Transport:   transport,
 		ElapsedMs:   float64(elapsed.Nanoseconds()) / 1e6,
 		Confirmed:   total,
 		Failed:      failed.Load(),
 		MsgsPerSec:  float64(total) / elapsed.Seconds(),
-		GroupCounts: cluster.groupCounts(),
+		GroupCounts: nodes[0].GroupCounts(),
 	}
 	if len(all) > 0 {
 		res.P50Ms = ms(quantile(all, 0.50))
@@ -227,39 +226,33 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i].Round(10 * time.Microsecond)
 }
 
-// loadCluster abstracts the two hosting modes behind the few operations the
-// driver needs.
-type loadCluster struct {
-	send        func(ctx context.Context, member mid.ProcID, g uint32, payload []byte) (mid.MID, error)
-	status      func(ctx context.Context) (rt.Status, error)
-	groupCounts func() []int64
-	shards      func() int
-	stop        func()
-}
-
-func startCluster(cfg topics.Config, mesh bool) (*loadCluster, *obs.Registry, error) {
+// startCluster hosts cfg.N members in-process (mesh) or each on its own
+// loopback UDP socket, and returns them with their stop function. Over UDP
+// only member 0 publishes metrics.
+func startCluster(cfg topics.Config, mesh bool) ([]*topics.MultiNode, func(), *obs.Registry, error) {
+	nodes := make([]*topics.MultiNode, cfg.N)
 	if mesh {
 		c, err := topics.NewMultiCluster(cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
+		}
+		for i := range nodes {
+			nodes[i] = c.Node(mid.ProcID(i))
 		}
 		c.Start()
-		return &loadCluster{
-			send: func(ctx context.Context, member mid.ProcID, g uint32, payload []byte) (mid.MID, error) {
-				return c.Node(member).Send(ctx, g, payload, nil)
-			},
-			status:      func(ctx context.Context) (rt.Status, error) { return c.Node(0).Status(ctx) },
-			groupCounts: func() []int64 { return c.Node(0).GroupCounts() },
-			shards:      func() int { return c.Node(0).Shards() },
-			stop:        c.Stop,
-		}, nil, nil
+		return nodes, c.Stop, nil, nil
 	}
-
 	peers, err := loopbackPorts(cfg.N)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	nodes := make([]*topics.MultiNode, cfg.N)
+	stop := func() {
+		for _, n := range nodes {
+			if n != nil {
+				n.Stop()
+			}
+		}
+	}
 	var reg *obs.Registry
 	for i := range nodes {
 		nc := cfg
@@ -269,30 +262,15 @@ func startCluster(cfg topics.Config, mesh bool) (*loadCluster, *obs.Registry, er
 			reg = obs.New()
 			nc.Metrics = reg
 		}
-		nodes[i], err = topics.NewMultiNode(nc)
-		if err != nil {
-			for _, n := range nodes[:i] {
-				n.Stop()
-			}
-			return nil, nil, err
+		if nodes[i], err = topics.NewMultiNode(nc); err != nil {
+			stop()
+			return nil, nil, nil, err
 		}
 	}
 	for _, n := range nodes {
 		n.Start()
 	}
-	return &loadCluster{
-		send: func(ctx context.Context, member mid.ProcID, g uint32, payload []byte) (mid.MID, error) {
-			return nodes[member].Send(ctx, g, payload, nil)
-		},
-		status:      func(ctx context.Context) (rt.Status, error) { return nodes[0].Status(ctx) },
-		groupCounts: func() []int64 { return nodes[0].GroupCounts() },
-		shards:      func() int { return nodes[0].Shards() },
-		stop: func() {
-			for _, n := range nodes {
-				n.Stop()
-			}
-		},
-	}, reg, nil
+	return nodes, stop, reg, nil
 }
 
 // loopbackPorts reserves n distinct loopback UDP ports by binding and

@@ -17,15 +17,15 @@
 // rule (or a crash) took the member out: leave, restart, rejoin.
 //
 // With -groups G (and optionally -shards S) the member hosts G independent
-// groups over the same socket via the sharded multi-group runtime: stdin
-// lines go to group 0 unless prefixed "<g>:", chatter rotates across
-// groups, printed messages carry a [gN] tag, and the shutdown summary and
-// /status include the per-group processed counts. Group 0's frames stay
-// wire-compatible with single-group members. The observability surface
-// grows the group dimension with it: /healthz aggregates one rule set per
-// group (503s name the degraded {group, rule, reason} triples), /trace
-// serves every group's spans (filter with ?group=N), and the per-group
-// series carry a group label on /metrics and /timeseries.
+// groups over the same socket — the default G=1 is simply the one-group
+// case of the same runtime: stdin lines go to group 0 unless prefixed
+// "<g>:", chatter rotates across groups, printed messages carry a [gN]
+// tag, and the shutdown summary and /status include the per-group
+// processed counts. The observability surface grows the group dimension
+// with it: /healthz aggregates one rule set per group (503s name the
+// degraded {group, rule, reason} triples), /trace serves every group's
+// spans (filter with ?group=N). Every per-entity series carries node and
+// group labels on /metrics and /timeseries at any G.
 //
 // The node is observable while it runs: -metrics (default 127.0.0.1:0)
 // binds an HTTP listener serving
@@ -55,7 +55,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/signal"
 	"strconv"
@@ -70,24 +69,8 @@ import (
 	"urcgc/internal/mid"
 	"urcgc/internal/nodehttp"
 	"urcgc/internal/obs"
-	"urcgc/internal/rt"
 	"urcgc/internal/topics"
 )
-
-// member abstracts the single-group rt.UDPNode and the multi-group
-// topics.MultiNode behind the handful of operations main drives.
-type member struct {
-	start       func()
-	stop        func()
-	localAddr   func() *net.UDPAddr
-	status      func(ctx context.Context) (rt.Status, error)
-	send        func(ctx context.Context, group uint32, payload []byte) (mid.MID, error)
-	indications <-chan topics.Indication
-	left        func(group uint32) (core.LeaveReason, bool)
-	lifecycle   func() *lifecycle.Tracer   // nil tracer when tracing is off
-	lifecycles  func() []*lifecycle.Tracer // multi-group members only, indexed by group
-	groupCounts func() []int64             // nil for single-group members
-}
 
 func main() {
 	var (
@@ -96,7 +79,7 @@ func main() {
 		k         = flag.Int("k", 3, "K parameter")
 		join      = flag.Bool("join", false, "rejoin a running group: state-transfer from a live member instead of starting fresh (use when restarting a member of a live cluster)")
 		groups    = flag.Int("groups", 1, "independent groups hosted over this member's socket")
-		shards    = flag.Int("shards", 0, "protocol shard loops when -groups > 1 (0 = min(groups, GOMAXPROCS))")
+		shards    = flag.Int("shards", 0, "protocol shard loops carrying the groups (0 = min(groups, GOMAXPROCS))")
 		round     = flag.Duration("round", 20*time.Millisecond, "round duration")
 		chatter   = flag.Duration("chatter", 0, "generate a synthetic message this often (0 = stdin only)")
 		metrics   = flag.String("metrics", "127.0.0.1:0", "HTTP address for /metrics, /status, /healthz, /timeseries, /events, /trace and /debug/* (empty disables)")
@@ -129,42 +112,57 @@ func main() {
 	}
 
 	var ring *capture.Ring
+	captures := make([]*capture.Ring, cfg.N)
 	if *capFrames > 0 {
 		ring = capture.New(capture.Options{
 			Node: mid.ProcID(*self), N: cfg.N, K: cfg.K, R: cfg.R,
 			SelfExclusion: cfg.SelfExclusion, MaxFrames: *capFrames,
 		})
+		if *self >= 0 && *self < cfg.N {
+			captures[*self] = ring
+		}
 	}
-
-	var (
-		node *member
-		err  error
-	)
-	if *groups > 1 {
-		node, err = newMultiMember(cfg, addrs, *self, *groups, *shards, *round, *batchWin, *traceSlow, reg, ring)
-	} else {
-		node, err = newSingleMember(cfg, addrs, *self, *round, *batchWin, *traceSlow, reg, ring)
+	var lcOpts *lifecycle.Options
+	if *traceSlow > 0 {
+		lcOpts = &lifecycle.Options{SlowThreshold: *traceSlow}
 	}
+	node, err := topics.NewMultiNode(topics.Config{
+		Config:        cfg,
+		Groups:        *groups,
+		Shards:        *shards,
+		Self:          mid.ProcID(*self),
+		Peers:         addrs,
+		RoundDuration: *round,
+		BatchWindow:   *batchWin,
+		Metrics:       reg,
+		Lifecycle:     lcOpts,
+		Captures:      captures,
+		Logf:          log.Printf,
+		Joined: func(_ mid.ProcID, g uint32) {
+			fmt.Printf("member %d rejoined the group (group %d, state transfer complete)\n", *self, g)
+		},
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "urcgc-node:", err)
 		os.Exit(1)
 	}
-	node.start()
+	indications := mergeIndications(node)
+	node.Start()
 	joining := ""
 	if *join {
 		joining = ", rejoining"
 	}
-	if *groups > 1 {
-		fmt.Printf("member %d of %d up at %s (round %v, %d groups over %d shards%s)\n",
-			*self, len(addrs), node.localAddr(), *round, *groups, *shards, joining)
-	} else {
-		fmt.Printf("member %d of %d up at %s (round %v%s)\n", *self, len(addrs), node.localAddr(), *round, joining)
-	}
+	fmt.Printf("member %d of %d up at %s (round %v, groups=%d shards=%d%s)\n",
+		*self, len(addrs), node.LocalAddr(), *round, *groups, node.Shards(), joining)
 
 	var flight *obs.Flight
 	if *metrics != "" {
 		var evaluator *health.Evaluator
 		var multiEval *health.MultiEvaluator
+		var lifecycleGroups func() []*lifecycle.Tracer
+		if *groups > 1 {
+			lifecycleGroups = node.Lifecycles
+		}
 		if *sample > 0 {
 			flight = obs.NewFlight(reg, obs.FlightOptions{Interval: *sample, Cap: *window})
 			if *groups > 1 {
@@ -182,16 +180,16 @@ func main() {
 			Flight:          flight,
 			Health:          evaluator,
 			MultiHealth:     multiEval,
-			Status:          node.status,
-			Lifecycle:       node.lifecycle,
-			LifecycleGroups: node.lifecycles,
+			Status:          node.Status,
+			Lifecycle:       func() *lifecycle.Tracer { return node.Lifecycle(0) },
+			LifecycleGroups: lifecycleGroups,
 			Capture:         ring,
 			Pprof:           true,
 		})
 		ln, err := nodehttp.Serve(*metrics, mux)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "urcgc-node: metrics:", err)
-			node.stop()
+			node.Stop()
 			os.Exit(1)
 		}
 		fmt.Printf("observability at http://%s/metrics (also /status, /healthz, /timeseries, /events, /trace, /debug/vars, /debug/pprof)\n", ln.Addr())
@@ -205,24 +203,16 @@ func main() {
 		}
 		fmt.Printf("\n--- %s: shutdown summary (member %d) ---\n", why, *self)
 		reg.WriteSummary(os.Stdout)
-		if node.groupCounts != nil {
+		if *groups > 1 {
 			fmt.Printf("--- per-group processed (%d groups) ---\n", *groups)
-			for g, c := range node.groupCounts() {
+			for g, c := range node.GroupCounts() {
 				fmt.Printf("group %-4d %d\n", g, c)
 			}
 		}
-		if tr := node.lifecycle(); tr != nil {
+		for g, tr := range node.Lifecycles() {
 			if c := tr.Counts(); c.Completed > 0 {
-				fmt.Printf("--- slowest completed message spans (of %d) ---\n", c.Completed)
+				fmt.Printf("--- group %d slowest completed message spans (of %d) ---\n", g, c.Completed)
 				tr.WriteSlowest(os.Stdout, 5)
-			}
-		}
-		if node.lifecycles != nil {
-			for g, tr := range node.lifecycles() {
-				if c := tr.Counts(); c.Completed > 0 {
-					fmt.Printf("--- group %d slowest completed message spans (of %d) ---\n", g, c.Completed)
-					tr.WriteSlowest(os.Stdout, 5)
-				}
 			}
 		}
 		if evs := reg.Events().Events(); len(evs) > 0 {
@@ -230,7 +220,7 @@ func main() {
 				len(evs), reg.Events().Total(), reg.Events().Dropped())
 			reg.Events().Write(os.Stdout)
 		}
-		node.stop()
+		node.Stop()
 	}
 
 	sigCh := make(chan os.Signal, 1)
@@ -238,13 +228,13 @@ func main() {
 	leftCh := make(chan core.LeaveReason, 1)
 
 	go func() {
-		for ind := range node.indications {
+		for ind := range indications {
 			if *groups > 1 {
 				fmt.Printf("[g%d %v] %s\n", ind.Group, ind.Msg.ID, ind.Msg.Payload)
 			} else {
 				fmt.Printf("[%v] %s\n", ind.Msg.ID, ind.Msg.Payload)
 			}
-			if reason, left := node.left(ind.Group); left {
+			if reason, left := node.Left(ind.Group); left {
 				select {
 				case leftCh <- reason:
 				default:
@@ -261,7 +251,7 @@ func main() {
 				seq++
 				g := uint32(seq % *groups)
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				_, err := node.send(ctx, g, []byte(fmt.Sprintf("chatter %d from %d", seq, *self)))
+				_, err := node.Send(ctx, g, []byte(fmt.Sprintf("chatter %d from %d", seq, *self)), nil)
 				cancel()
 				if err != nil {
 					// Transient refusals are expected while rejoining (-join):
@@ -283,7 +273,7 @@ func main() {
 			}
 			g, text := splitGroup(line, *groups)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			id, err := node.send(ctx, g, []byte(text))
+			id, err := node.Send(ctx, g, []byte(text), nil)
 			cancel()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "send:", err)
@@ -336,113 +326,17 @@ func splitGroup(line string, groups int) (uint32, string) {
 	return uint32(g), strings.TrimSpace(rest)
 }
 
-func newSingleMember(cfg core.Config, addrs []string, self int,
-	round, batchWin, traceSlow time.Duration, reg *obs.Registry, ring *capture.Ring) (*member, error) {
-	var lcOpts *lifecycle.Options
-	if traceSlow > 0 {
-		lcOpts = &lifecycle.Options{SlowThreshold: traceSlow}
-	}
-	n, err := rt.NewUDPNode(rt.UDPConfig{
-		Config:        cfg,
-		Self:          mid.ProcID(self),
-		Peers:         addrs,
-		RoundDuration: round,
-		BatchWindow:   batchWin,
-		Metrics:       reg,
-		Lifecycle:     lcOpts,
-		Capture:       ring,
-		Logf:          log.Printf,
-		Joined: func() {
-			fmt.Printf("member %d rejoined the group (state transfer complete)\n", self)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Re-tag the untagged single-group indications as group 0 so the main
-	// loop handles one channel shape.
-	ind := make(chan topics.Indication, 64)
-	go func() {
-		defer close(ind)
-		for i := range n.Indications() {
-			ind <- topics.Indication{Group: 0, Msg: i.Msg}
-		}
-	}()
-	return &member{
-		start:     n.Start,
-		stop:      n.Stop,
-		localAddr: n.LocalAddr,
-		status:    n.Status,
-		send: func(ctx context.Context, _ uint32, payload []byte) (mid.MID, error) {
-			return n.Send(ctx, payload, nil)
-		},
-		indications: ind,
-		left:        func(uint32) (core.LeaveReason, bool) { return n.Left() },
-		lifecycle:   n.Lifecycle,
-	}, nil
-}
-
-func newMultiMember(cfg core.Config, addrs []string, self, groups, shards int,
-	round, batchWin, traceSlow time.Duration, reg *obs.Registry, ring *capture.Ring) (*member, error) {
-	var lcOpts *lifecycle.Options
-	if traceSlow > 0 {
-		lcOpts = &lifecycle.Options{SlowThreshold: traceSlow}
-	}
-	n, err := topics.NewMultiNode(topics.Config{
-		Config:        cfg,
-		Groups:        groups,
-		Shards:        shards,
-		Self:          mid.ProcID(self),
-		Peers:         addrs,
-		RoundDuration: round,
-		BatchWindow:   batchWin,
-		Metrics:       reg,
-		Lifecycle:     lcOpts,
-		Capture:       ring,
-		Logf:          log.Printf,
-		Joined: func(g uint32) {
-			fmt.Printf("member %d rejoined group %d (state transfer complete)\n", self, g)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Merge every group's indication stream into one tagged channel.
-	ind := make(chan topics.Indication, 64)
-	done := make(chan struct{}, groups)
-	for g := 0; g < groups; g++ {
-		ch, err := n.Indications(uint32(g))
-		if err != nil {
-			return nil, err
-		}
+// mergeIndications merges every hosted group's indication stream into one
+// group-tagged channel.
+func mergeIndications(n *topics.MultiNode) <-chan topics.Indication {
+	out := make(chan topics.Indication, 64)
+	for g := 0; g < n.Groups(); g++ {
+		ch, _ := n.Indications(uint32(g))
 		go func() {
 			for i := range ch {
-				ind <- i
+				out <- i
 			}
-			done <- struct{}{}
 		}()
 	}
-	go func() {
-		for i := 0; i < groups; i++ {
-			<-done
-		}
-		close(ind)
-	}()
-	return &member{
-		start:     n.Start,
-		stop:      n.Stop,
-		localAddr: n.LocalAddr,
-		status:    n.Status,
-		send: func(ctx context.Context, g uint32, payload []byte) (mid.MID, error) {
-			return n.Send(ctx, g, payload, nil)
-		},
-		indications: ind,
-		left: func(g uint32) (core.LeaveReason, bool) {
-			reason, ok := n.Left(g)
-			return reason, ok
-		},
-		lifecycle:   func() *lifecycle.Tracer { return nil },
-		lifecycles:  n.Lifecycles,
-		groupCounts: n.GroupCounts,
-	}, nil
+	return out
 }

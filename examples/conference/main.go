@@ -22,13 +22,13 @@ import (
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
-	"urcgc/internal/rt"
+	"urcgc/internal/topics"
 )
 
 const participants = 6
 
 func main() {
-	cluster, err := rt.NewCluster(rt.Config{
+	cluster, err := topics.NewMultiCluster(topics.Config{
 		Config:        core.Config{N: participants, K: 3, R: 8, SelfExclusion: true},
 		RoundDuration: time.Millisecond,
 	})
@@ -42,7 +42,7 @@ func main() {
 	defer cancel()
 
 	// Participant 0 opens the discussion.
-	opening, err := cluster.Node(0).Send(ctx, []byte("opening: shall we adopt causal order?"), nil)
+	opening, err := cluster.Node(0).Send(ctx, 0, []byte("opening: shall we adopt causal order?"), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func main() {
 		if dep.Proc != mid.ProcID(who) {
 			deps = mid.DepList{dep}
 		}
-		id, err := cluster.Node(mid.ProcID(who)).Send(ctx, []byte(text), deps)
+		id, err := cluster.Node(mid.ProcID(who)).Send(ctx, 0, []byte(text), deps)
 		if err != nil {
 			fmt.Printf("participant %d could not speak: %v\n", who, err)
 			return

@@ -18,13 +18,13 @@ import (
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
-	"urcgc/internal/rt"
 	"urcgc/internal/stack"
+	"urcgc/internal/topics"
 )
 
 func main() {
 	const n = 5
-	cluster, err := rt.NewCluster(rt.Config{
+	cluster, err := topics.NewMultiCluster(topics.Config{
 		Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
 		RoundDuration: time.Millisecond,
 	})
@@ -36,7 +36,9 @@ func main() {
 
 	saps := make([]*stack.SAP, n)
 	for i := range saps {
-		saps[i] = stack.Open(cluster.Node(mid.ProcID(i)))
+		if saps[i], err = stack.Open(cluster.Node(mid.ProcID(i)), 0); err != nil {
+			log.Fatal(err)
+		}
 		defer saps[i].Close()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -25,7 +25,7 @@ import (
 	"urcgc/internal/causal"
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
-	"urcgc/internal/rt"
+	"urcgc/internal/topics"
 )
 
 const (
@@ -107,7 +107,7 @@ func (b *board) render() string {
 }
 
 func main() {
-	cluster, err := rt.NewCluster(rt.Config{
+	cluster, err := topics.NewMultiCluster(topics.Config{
 		Config:        core.Config{N: users, K: 3, R: 8, SelfExclusion: true},
 		RoundDuration: time.Millisecond,
 	})
@@ -127,12 +127,13 @@ func main() {
 	stop := make(chan struct{})
 	for i := 0; i < users; i++ {
 		i := i
+		inds, _ := cluster.Node(mid.ProcID(i)).Indications(0)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				select {
-				case ind := <-cluster.Node(mid.ProcID(i)).Indications():
+				case ind := <-inds:
 					boards[i].apply(ind.Msg)
 				case <-stop:
 					return
@@ -160,7 +161,7 @@ func main() {
 				if hasDep && dep.Proc != mid.ProcID(u) {
 					deps = mid.DepList{dep}
 				}
-				id, err := cluster.Node(mid.ProcID(u)).Send(ctx,
+				id, err := cluster.Node(mid.ProcID(u)).Send(ctx, 0,
 					editPayload(region, fmt.Sprintf("u%de%d", u, e)), deps)
 				if err != nil {
 					log.Printf("user %d edit failed: %v", u, err)

@@ -10,7 +10,7 @@ import (
 	"urcgc/internal/fault"
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/mid"
-	"urcgc/internal/rt"
+	"urcgc/internal/topics"
 	"urcgc/internal/trace"
 )
 
@@ -71,7 +71,7 @@ func StageLatencyBreakdown(b *testing.B) {
 // LiveConfirmLatency bounds what span recording costs when switched on;
 // the disabled path is separately proven 0-extra-allocs by the rt tests.
 func LifecycleOverhead(b *testing.B) {
-	c, err := rt.NewCluster(rt.Config{
+	c, err := topics.NewMultiCluster(topics.Config{
 		Config:        core.Config{N: 5, K: 3, R: 8, SelfExclusion: true},
 		RoundDuration: 200 * time.Microsecond,
 		Lifecycle:     &lifecycle.Options{},
@@ -87,7 +87,7 @@ func LifecycleOverhead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Node(mid.ProcID(i%5)).Send(ctx, payload, nil); err != nil {
+		if _, err := c.Node(mid.ProcID(i%5)).Send(ctx, 0, payload, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
-	"urcgc/internal/rt"
+	"urcgc/internal/topics"
 )
 
 // SamplerOverhead is LiveConfirmLatency with the full observability stack
@@ -22,7 +22,7 @@ import (
 // TestFlightSampleAllocFree in obs.
 func SamplerOverhead(b *testing.B) {
 	reg := obs.New()
-	c, err := rt.NewCluster(rt.Config{
+	c, err := topics.NewMultiCluster(topics.Config{
 		Config:        core.Config{N: 5, K: 3, R: 8, SelfExclusion: true},
 		RoundDuration: 200 * time.Microsecond,
 		Metrics:       reg,
@@ -41,7 +41,7 @@ func SamplerOverhead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Node(mid.ProcID(i%5)).Send(ctx, payload, nil); err != nil {
+		if _, err := c.Node(mid.ProcID(i%5)).Send(ctx, 0, payload, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

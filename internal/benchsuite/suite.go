@@ -21,8 +21,8 @@ import (
 	"urcgc/internal/fault"
 	"urcgc/internal/history"
 	"urcgc/internal/mid"
-	"urcgc/internal/rt"
 	"urcgc/internal/sim"
+	"urcgc/internal/topics"
 	"urcgc/internal/vclock"
 	"urcgc/internal/waitlist"
 	"urcgc/internal/wire"
@@ -422,7 +422,7 @@ func CBCASTRun(b *testing.B) {
 // per node, so throughput is capped near n/subrun — while batch > 1 turns
 // on the coalescing sender and multi-message DataBatch frames.
 func benchThroughput(b *testing.B, n, batch int) {
-	cfg := rt.Config{
+	cfg := topics.Config{
 		Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
 		RoundDuration: 200 * time.Microsecond,
 	}
@@ -430,7 +430,7 @@ func benchThroughput(b *testing.B, n, batch int) {
 		cfg.BatchWindow = 100 * time.Microsecond
 		cfg.BatchMax = batch
 	}
-	c, err := rt.NewCluster(cfg)
+	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func benchThroughput(b *testing.B, n, batch int) {
 				if i >= int64(b.N) {
 					return
 				}
-				if _, err := c.Node(mid.ProcID(int(i)%n)).Send(ctx, payload, nil); err != nil {
+				if _, err := c.Node(mid.ProcID(int(i)%n)).Send(ctx, 0, payload, nil); err != nil {
 					errs <- err
 					return
 				}
@@ -490,7 +490,7 @@ func ThroughputSaturationN9B32(b *testing.B) { benchThroughput(b, 9, 32) }
 // goroutine runtime (one confirm per iteration), exercising the real codec
 // and channel mesh rather than the simulator.
 func LiveConfirmLatency(b *testing.B) {
-	c, err := rt.NewCluster(rt.Config{
+	c, err := topics.NewMultiCluster(topics.Config{
 		Config:        core.Config{N: 5, K: 3, R: 8, SelfExclusion: true},
 		RoundDuration: 200 * time.Microsecond,
 	})
@@ -505,7 +505,7 @@ func LiveConfirmLatency(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Node(mid.ProcID(i%5)).Send(ctx, payload, nil); err != nil {
+		if _, err := c.Node(mid.ProcID(i%5)).Send(ctx, 0, payload, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

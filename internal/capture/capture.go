@@ -13,10 +13,9 @@
 // disabled hot path stays allocation-free (pinned by AllocsPerRun guards).
 //
 // Frames are stored without the group envelope — the record's Peer and
-// Group fields carry what the envelope would, which lets the UDP runtime
-// (which strips the envelope on receive) and the in-process mesh (which
-// never frames one) share one record shape. Records whose verdict is a
-// parse failure (short/badsrc) keep the raw evidence bytes instead.
+// Group fields carry what the envelope would, so every record has one
+// shape whatever the group. Records whose verdict is an envelope parse
+// failure keep the raw evidence bytes instead.
 package capture
 
 import (
@@ -54,8 +53,8 @@ func (d Dir) String() string {
 }
 
 // Verdict is what the runtime did with a captured frame. The ingress
-// verdicts mirror the UDP reader's discard taxonomy one-for-one, so the
-// udp_drop_* counters are joinable to dumped frames.
+// verdicts mirror the demultiplexer's discard taxonomy one-for-one, so the
+// topics_drop_* counters are joinable to dumped frames.
 type Verdict uint8
 
 const (
@@ -63,21 +62,21 @@ const (
 	Delivered Verdict = iota
 	// Sent: the frame left this member with a clean fault verdict.
 	Sent
-	// DropShort: the envelope did not parse (udp_drop_short_total).
+	// DropShort: the envelope did not parse (topics_drop_envelope_total).
 	DropShort
 	// DropBadSrc: the claimed source is outside the group
-	// (udp_drop_badsrc_total).
+	// (topics_drop_badsrc_total).
 	DropBadSrc
-	// DropDecode: the PDU body did not decode (udp_drop_decode_total).
+	// DropDecode: the PDU body did not decode (topics_drop_decode_total).
 	DropDecode
 	// DropOversize: the frame exceeded the datagram limit, in either
-	// direction (udp_drop_oversize_total / udp_send_oversize_total).
+	// direction (topics_drop_oversize_total / topics_send_oversize_total).
 	DropOversize
 	// DropGroup: the frame addressed a group this member does not host
-	// (topics_drop_group_total), or a non-zero group on a single-group node.
+	// (topics_drop_group_total).
 	DropGroup
-	// DropInbox: the frame was valid but the protocol inbox (or shard
-	// inbox) was full — an overload omission.
+	// DropInbox: the frame was valid but the shard inbox was full — an
+	// overload omission.
 	DropInbox
 	// FaultDrop: a fault injector (or the test-only DropFrame seam, or a
 	// crashed receiver absorbing nothing) destroyed the frame; Fault names

@@ -34,7 +34,7 @@ import (
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
-	"urcgc/internal/rt"
+	"urcgc/internal/topics"
 )
 
 // Config parameterizes one soak. The zero value of every field gets a
@@ -272,7 +272,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 		}
 	}
-	cl, err := rt.NewCluster(rt.Config{
+	cl, err := topics.NewMultiCluster(topics.Config{
 		Config:        core.Config{N: cfg.N, K: cfg.K, R: cfg.R, BatchMax: cfg.BatchMax},
 		RoundDuration: cfg.Round,
 		BatchWindow:   cfg.BatchWindow,
@@ -301,26 +301,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	var consumers sync.WaitGroup
 	drainStop := make(chan struct{})
 	for i := 0; i < cfg.N; i++ {
-		node := cl.Node(mid.ProcID(i))
-		consumers.Add(1)
-		go func() {
-			defer consumers.Done()
-			for {
-				select {
-				case ind := <-node.Indications():
-					checker.Record(node.ID(), &ind.Msg)
-				case <-drainStop:
-					for {
-						select {
-						case ind := <-node.Indications():
-							checker.Record(node.ID(), &ind.Msg)
-						default:
-							return
-						}
-					}
-				}
-			}
-		}()
+		consume(&consumers, cl.Node(mid.ProcID(i)), checker, drainStop)
 	}
 
 	// Load: every member submits on a fixed cadence through the fault
@@ -344,7 +325,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				}
 				sctx, cancel := context.WithTimeout(loadCtx, cfg.SendTimeout)
 				sent.Add(1)
-				if _, err := node.SendCausal(sctx, []byte("chaos")); err == nil {
+				if _, err := node.SendCausal(sctx, 0, []byte("chaos")); err == nil {
 					confirmed.Add(1)
 				}
 				cancel()
@@ -416,7 +397,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		p := mid.ProcID(i)
 		node := cl.Node(p)
 		rep.Processed[p] = checker.Recorded(p)
-		if reason, left := node.Left(); left {
+		if reason, left := node.Left(0); left {
 			rep.Left[p] = reason
 			continue
 		}
@@ -550,12 +531,37 @@ func (m *healthMonitor) shutdown() {
 	m.flight.Stop()
 }
 
+// consume feeds one member's group-0 indication stream into the checker;
+// after drainStop it empties whatever is still buffered and returns.
+func consume(wg *sync.WaitGroup, node *topics.MultiNode, checker *faultrt.Checker, drainStop <-chan struct{}) {
+	ind, _ := node.Indications(0)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case i := <-ind:
+				checker.Record(node.ID(), &i.Msg)
+			case <-drainStop:
+				for {
+					select {
+					case i := <-ind:
+						checker.Record(node.ID(), &i.Msg)
+					default:
+						return
+					}
+				}
+			}
+		}
+	}()
+}
+
 // surviving lists members neither fail-stopped nor self-excluded.
-func surviving(cl *rt.Cluster, n int) []mid.ProcID {
+func surviving(cl *topics.MultiCluster, n int) []mid.ProcID {
 	var out []mid.ProcID
 	for i := 0; i < n; i++ {
 		node := cl.Node(mid.ProcID(i))
-		if _, left := node.Left(); left || node.Killed() {
+		if _, left := node.Left(0); left || node.Killed() {
 			continue
 		}
 		out = append(out, mid.ProcID(i))

@@ -13,7 +13,7 @@ import (
 	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
-	"urcgc/internal/rt"
+	"urcgc/internal/topics"
 )
 
 // RollingConfig parameterizes one rolling-restart soak: every member is
@@ -154,18 +154,18 @@ func RunRollingRestart(ctx context.Context, cfg RollingConfig) (*RollingReport, 
 	checker := faultrt.NewChecker()
 
 	joinedCh := make(chan mid.ProcID, cfg.N)
-	cl, err := rt.NewCluster(rt.Config{
+	cl, err := topics.NewMultiCluster(topics.Config{
 		Config:        core.Config{N: cfg.N, K: cfg.K, R: cfg.R, SelfExclusion: true},
 		RoundDuration: cfg.Round,
 		Metrics:       cfg.Metrics,
 		Fault:         hook,
-		JoinInstalled: func(node mid.ProcID, stable mid.SeqVector) {
+		JoinInstalled: func(node mid.ProcID, _ uint32, stable mid.SeqVector) {
 			checker.Restart(node, stable)
 		},
-		FastForwarded: func(node, of mid.ProcID, to mid.Seq) {
+		FastForwarded: func(node mid.ProcID, _ uint32, of mid.ProcID, to mid.Seq) {
 			checker.FastForward(node, of, to)
 		},
-		Joined: func(node mid.ProcID) {
+		Joined: func(node mid.ProcID, _ uint32) {
 			select {
 			case joinedCh <- node:
 			default:
@@ -182,26 +182,7 @@ func RunRollingRestart(ctx context.Context, cfg RollingConfig) (*RollingReport, 
 	var consumers sync.WaitGroup
 	drainStop := make(chan struct{})
 	for i := 0; i < cfg.N; i++ {
-		node := cl.Node(mid.ProcID(i))
-		consumers.Add(1)
-		go func() {
-			defer consumers.Done()
-			for {
-				select {
-				case ind := <-node.Indications():
-					checker.Record(node.ID(), &ind.Msg)
-				case <-drainStop:
-					for {
-						select {
-						case ind := <-node.Indications():
-							checker.Record(node.ID(), &ind.Msg)
-						default:
-							return
-						}
-					}
-				}
-			}
-		}()
+		consume(&consumers, cl.Node(mid.ProcID(i)), checker, drainStop)
 	}
 
 	// Load: every member submits on a cadence for the whole plan. Sends on
@@ -224,7 +205,7 @@ func RunRollingRestart(ctx context.Context, cfg RollingConfig) (*RollingReport, 
 				}
 				sctx, cancel := context.WithTimeout(loadCtx, cfg.SendTimeout)
 				sent.Add(1)
-				if _, err := node.SendCausal(sctx, []byte("roll")); err == nil {
+				if _, err := node.SendCausal(sctx, 0, []byte("roll")); err == nil {
 					confirmed.Add(1)
 				}
 				cancel()
@@ -252,7 +233,7 @@ func RunRollingRestart(ctx context.Context, cfg RollingConfig) (*RollingReport, 
 	aliveAt := func(at, q mid.ProcID) (bool, error) {
 		var alive bool
 		sctx, cancel := context.WithTimeout(ctx, time.Second)
-		err := cl.Node(at).Snapshot(sctx, func(p *core.Process) { alive = p.View().Alive(q) })
+		err := cl.Node(at).Snapshot(sctx, 0, func(p *core.Process) { alive = p.View().Alive(q) })
 		cancel()
 		return alive, err
 	}
@@ -281,7 +262,8 @@ func RunRollingRestart(ctx context.Context, cfg RollingConfig) (*RollingReport, 
 
 		// Drain the dead incarnation's indication backlog so nothing of it
 		// is recorded after the checker rebaselines.
-		waitUntil(func() bool { return len(cl.Node(victim).Indications()) == 0 })
+		backlog, _ := cl.Node(victim).Indications(0)
+		waitUntil(func() bool { return len(backlog) == 0 })
 		time.Sleep(5 * cfg.Round)
 
 		logf("rolling: restart member %d as joiner", victim)
@@ -327,7 +309,7 @@ func RunRollingRestart(ctx context.Context, cfg RollingConfig) (*RollingReport, 
 		out := make([]mid.SeqVector, cfg.N)
 		for q := 0; q < cfg.N; q++ {
 			sctx, cancel := context.WithTimeout(ctx, time.Second)
-			err := cl.Node(mid.ProcID(q)).Snapshot(sctx, func(p *core.Process) { out[q] = p.Processed().Clone() })
+			err := cl.Node(mid.ProcID(q)).Snapshot(sctx, 0, func(p *core.Process) { out[q] = p.Processed().Clone() })
 			cancel()
 			if err != nil {
 				return nil, false
@@ -392,7 +374,7 @@ func RunRollingRestart(ctx context.Context, cfg RollingConfig) (*RollingReport, 
 	survivors := make([]mid.ProcID, 0, cfg.N)
 	for q := 0; q < cfg.N; q++ {
 		node := cl.Node(mid.ProcID(q))
-		if _, left := node.Left(); left || node.Killed() {
+		if _, left := node.Left(0); left || node.Killed() {
 			continue
 		}
 		survivors = append(survivors, mid.ProcID(q))

@@ -307,9 +307,9 @@ type RoundObservation struct {
 // PendingSubmissions, and reads of the exported Stats field — must run on
 // the goroutine that drives StartRound/Recv. Calling them from any other
 // goroutine races with applyDecision and cascade mutating the same state.
-// In the live runtime that goroutine is the node loop: off-loop readers go
-// through rt.Node.Snapshot/Status or rt.UDPNode.Snapshot/Status, which
-// hand the Process to a closure inside the loop. The deterministic
+// In the live runtime that goroutine is the group's shard loop: off-loop
+// readers go through topics.MultiNode.Snapshot/Status, which hand the
+// Process to a closure inside the loop. The deterministic
 // simulator is single-goroutine, so tests and experiments that call
 // accessors between Run steps are within the contract.
 type Process struct {

@@ -172,17 +172,17 @@ type Evaluator struct {
 	sDecision, sHistory, sWaiting, sProcessed, sStable, sJoining string
 }
 
-// NewEvaluator builds an evaluator for the node with the given label
-// (the "node" label value used by the rt instruments, e.g. "0").
+// NewEvaluator builds the whole-node evaluator of a single-group member
+// with the given node label value (e.g. "0"): the rules read the member's
+// group-0 series and the verdict carries no group.
 func NewEvaluator(f *obs.Flight, node string, th Thresholds) *Evaluator {
-	l := func(name string) string { return obs.Labeled(name, "node", node) }
-	return newEvaluator(f, node, -1, th, l)
+	e := NewGroupEvaluator(f, node, 0, th)
+	e.group = -1
+	return e
 }
 
 // NewGroupEvaluator builds an evaluator for one hosted group of a
-// multi-group member: same rules, read from the group-labeled series the
-// topics runtime registers (label order matches rt.NewNodeObs — node
-// first, then group).
+// member: the rules read that group's {node, group}-labeled series.
 func NewGroupEvaluator(f *obs.Flight, node string, group int, th Thresholds) *Evaluator {
 	g := strconv.Itoa(group)
 	l := func(name string) string { return obs.Labeled(name, "node", node, "group", g) }

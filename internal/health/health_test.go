@@ -95,7 +95,7 @@ type evalHarness struct {
 func newEvalHarness(t *testing.T, th Thresholds) *evalHarness {
 	t.Helper()
 	reg := obs.New()
-	l := func(name string) string { return obs.Labeled(name, "node", "0") }
+	l := func(name string) string { return obs.Labeled(name, "node", "0", "group", "0") }
 	f := obs.NewFlight(reg, obs.FlightOptions{Cap: 64})
 	return &evalHarness{
 		reg:       reg,

@@ -97,10 +97,10 @@ type NodeProbe struct {
 	// Health is the node's own verdict (from /healthz), if served.
 	Health *health.Status `json:"health,omitempty"`
 	// StableSum is the node's stability frontier: the sum of its clean
-	// vector, read from core_stable_sum on /metrics (falling back to the
-	// status StableTo vector when the gauge is absent).
+	// vector, read from group 0's core_stable_sum on /metrics (falling
+	// back to the status StableTo vector when the gauge is absent).
 	StableSum int64 `json:"stable_sum"`
-	// ProcessedSum is the total messages processed, read from
+	// ProcessedSum is the total messages processed, read from group 0's
 	// rt_processed_total on /metrics (falling back to the status vector).
 	ProcessedSum int64 `json:"processed_sum"`
 	// DecisionTail is the trailing window of the node's decision-subrun
@@ -196,10 +196,10 @@ func probeNode(ctx context.Context, cfg Config, addr string) NodeProbe {
 
 	node := strconv.Itoa(int(st.ID))
 	if body, code, err := probe.Fetch(ctx, cfg.Client, addr+"/metrics"); err == nil && code == http.StatusOK {
-		if v, ok := metricValue(body, obs.Labeled("core_stable_sum", "node", node)); ok {
+		if v, ok := metricValue(body, obs.Labeled("core_stable_sum", "node", node, "group", "0")); ok {
 			p.StableSum = v
 		}
-		if v, ok := metricValue(body, obs.Labeled("rt_processed_total", "node", node)); ok {
+		if v, ok := metricValue(body, obs.Labeled("rt_processed_total", "node", node, "group", "0")); ok {
 			p.ProcessedSum = v
 		}
 	}
@@ -216,7 +216,7 @@ func probeNode(ctx context.Context, cfg Config, addr string) NodeProbe {
 	if body, code, err := probe.Fetch(ctx, cfg.Client, addr+"/timeseries"); err == nil && code == http.StatusOK {
 		var fs obs.FlightSnapshot
 		if json.Unmarshal(body, &fs) == nil {
-			tail := fs.Series[obs.Labeled("core_decision_subrun", "node", node)]
+			tail := fs.Series[obs.Labeled("core_decision_subrun", "node", node, "group", "0")]
 			if len(tail) > cfg.StallWindow {
 				tail = tail[len(tail)-cfg.StallWindow:]
 			}

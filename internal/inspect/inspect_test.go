@@ -193,7 +193,7 @@ func TestTokenStall(t *testing.T) {
 		f.timeseries = &obs.FlightSnapshot{
 			Samples: 8,
 			Series: map[string][]int64{
-				obs.Labeled("core_decision_subrun", "node", "0"): {7, 7, 7, 7, 7, 7, 7, 7},
+				obs.Labeled("core_decision_subrun", "node", "0", "group", "0"): {7, 7, 7, 7, 7, 7, 7, 7},
 			},
 		}
 	})
@@ -202,7 +202,7 @@ func TestTokenStall(t *testing.T) {
 		f.timeseries = &obs.FlightSnapshot{
 			Samples: 8,
 			Series: map[string][]int64{
-				obs.Labeled("core_decision_subrun", "node", "1"): {3, 4, 5, 6, 7, 8, 9, 10},
+				obs.Labeled("core_decision_subrun", "node", "1", "group", "0"): {3, 4, 5, 6, 7, 8, 9, 10},
 			},
 		}
 	})
@@ -231,7 +231,7 @@ func TestTokenStallNeedsFullWindow(t *testing.T) {
 		fn.timeseries = &obs.FlightSnapshot{
 			Samples: 3,
 			Series: map[string][]int64{
-				obs.Labeled("core_decision_subrun", "node", "0"): {7, 7, 7},
+				obs.Labeled("core_decision_subrun", "node", "0", "group", "0"): {7, 7, 7},
 			},
 		}
 	})
@@ -298,9 +298,9 @@ func TestMetricsOverrideStatusSums(t *testing.T) {
 	f := newFakeNode(t, runningStatus(0, 1, 6))
 	f.set(func(fn *fakeNode) {
 		fn.metrics = "# TYPE core_stable_sum gauge\n" +
-			"core_stable_sum{node=\"0\"} 42\n" +
+			"core_stable_sum{node=\"0\",group=\"0\"} 42\n" +
 			"# TYPE rt_processed_total counter\n" +
-			"rt_processed_total{node=\"0\"} 43\n"
+			"rt_processed_total{node=\"0\",group=\"0\"} 43\n"
 	})
 	r := collect(t, Config{Nodes: addrs([]*fakeNode{f})})
 	if r.Nodes[0].StableSum != 42 || r.Nodes[0].ProcessedSum != 43 {
@@ -427,7 +427,7 @@ func TestJoiningMemberIsInformational(t *testing.T) {
 		f.timeseries = &obs.FlightSnapshot{
 			Samples: 8,
 			Series: map[string][]int64{
-				obs.Labeled("core_decision_subrun", "node", "2"): {7, 7, 7, 7, 7, 7, 7, 7},
+				obs.Labeled("core_decision_subrun", "node", "2", "group", "0"): {7, 7, 7, 7, 7, 7, 7, 7},
 			},
 		}
 	})

@@ -16,7 +16,7 @@ import (
 	"urcgc/internal/mid"
 	"urcgc/internal/nodehttp"
 	"urcgc/internal/obs"
-	"urcgc/internal/rt"
+	"urcgc/internal/topics"
 )
 
 // freePorts grabs n distinct loopback UDP ports.
@@ -51,7 +51,7 @@ func TestInspectSmoke(t *testing.T) {
 	obsAddrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		reg := obs.New()
-		node, err := rt.NewUDPNode(rt.UDPConfig{
+		node, err := topics.NewMultiNode(topics.Config{
 			Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
 			Self:          mid.ProcID(i),
 			Peers:         peers,
@@ -80,8 +80,8 @@ func TestInspectSmoke(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		const perNode = 4
 		for k := 0; k < perNode; k++ {
-			go func(node *rt.UDPNode, i, k int) {
-				if _, err := node.Send(ctx, []byte(fmt.Sprintf("s%d-%d", i, k)), nil); err != nil {
+			go func(node *topics.MultiNode, i, k int) {
+				if _, err := node.Send(ctx, 0, []byte(fmt.Sprintf("s%d-%d", i, k)), nil); err != nil {
 					t.Errorf("node %d send: %v", i, err)
 				}
 			}(node, i, k)
@@ -143,7 +143,7 @@ func TestInspectPartitionRecovery(t *testing.T) {
 	}, reg)
 	// K far above the subruns a partition window can span, so neither side
 	// declares the other crashed; SelfExclusion off so nobody leaves.
-	c, err := rt.NewCluster(rt.Config{
+	c, err := topics.NewMultiCluster(topics.Config{
 		Config:        core.Config{N: n, K: 600, R: 1202, SelfExclusion: false},
 		RoundDuration: round,
 		Metrics:       reg,
@@ -194,7 +194,7 @@ func TestInspectPartitionRecovery(t *testing.T) {
 				case <-time.After(10 * time.Millisecond):
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-				_, err := c.Node(mid.ProcID(i)).Send(ctx, []byte(fmt.Sprintf("l%d-%d", i, seq)), nil)
+				_, err := c.Node(mid.ProcID(i)).Send(ctx, 0, []byte(fmt.Sprintf("l%d-%d", i, seq)), nil)
 				cancel()
 				if err != nil {
 					select {

@@ -137,13 +137,9 @@ func (t *Tracer) Report(slowN, recentN int) Report {
 	}
 	t.Tick()
 	now := t.clock()
-	group := t.group
-	if group < 0 {
-		group = 0 // single-group members speak group 0 on the wire
-	}
 	r := Report{
 		Node:          int(t.node),
-		Group:         group,
+		Group:         t.group,
 		Now:           stamp(now),
 		NowNs:         stampNs(now),
 		SlowThreshold: t.opts.SlowThreshold.String(),

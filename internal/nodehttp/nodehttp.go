@@ -45,7 +45,7 @@ type Options struct {
 	// triples). Takes precedence over Health.
 	MultiHealth *health.MultiEvaluator
 	// Status, if set, backs /status. It must be safe to call from any
-	// goroutine (rt.Node.Status and rt.UDPNode.Status are).
+	// goroutine (topics.MultiNode.Status is).
 	Status func(ctx context.Context) (rt.Status, error)
 	// Lifecycle, if set, backs /trace; returning nil reports tracing
 	// disabled.

@@ -9,16 +9,15 @@ import (
 	"urcgc/internal/mid"
 )
 
-// Submission is one user Send waiting to enter the protocol through a node
-// loop goroutine. Exported so the multi-group runtime (internal/topics) can
-// reuse the coalescing sender; user code goes through Node.Send and friends,
-// never through this directly.
+// Submission is one user Send waiting to enter the protocol through the
+// loop goroutine that owns its entity. User code goes through the
+// runtime's Send and friends, never through this directly.
 type Submission struct {
 	Payload []byte
 	Deps    mid.DepList
 	Causal  bool
-	Res     chan SubResult  // receives the submit outcome (buffered, cap 1)
-	Confirm chan struct{}   // closed when the message is processed locally
+	Res     chan SubResult // receives the submit outcome (buffered, cap 1)
+	Confirm chan struct{}  // closed when the message is processed locally
 }
 
 // SubResult is the outcome of running one Submission inside the loop.

@@ -1,4 +1,4 @@
-package rt
+package rt_test
 
 import (
 	"context"
@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"urcgc/internal/rt"
+	"urcgc/internal/topics"
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
@@ -37,7 +39,7 @@ func TestCoalescedSendsConverge(t *testing.T) {
 	// the flush that matters is the count-budget one at DefaultBatchMax.
 	cfg.BatchWindow = 100 * time.Millisecond
 	cfg.Metrics = reg
-	c, err := NewCluster(cfg)
+	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestCoalescedSendsConverge(t *testing.T) {
 		k := k
 		go func() {
 			defer wg.Done()
-			if _, err := c.Node(0).Send(ctx, []byte(fmt.Sprintf("burst-%d", k)), nil); err != nil {
+			if _, err := c.Node(0).Send(ctx, 0, []byte(fmt.Sprintf("burst-%d", k)), nil); err != nil {
 				errs <- err
 			}
 		}()
@@ -81,7 +83,7 @@ func TestCoalescedCausalSendPreservesDeps(t *testing.T) {
 	cfg := liveConfig(3)
 	cfg.RoundDuration = time.Millisecond
 	cfg.BatchWindow = 5 * time.Millisecond
-	c, err := NewCluster(cfg)
+	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestCoalescedCausalSendPreservesDeps(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	for k := 0; k < 4; k++ {
-		if _, err := c.Node(0).SendCausal(ctx, []byte(fmt.Sprintf("c-%d", k))); err != nil {
+		if _, err := c.Node(0).SendCausal(ctx, 0, []byte(fmt.Sprintf("c-%d", k))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +106,7 @@ func TestCoalescerFlushesOnWindow(t *testing.T) {
 	cfg := liveConfig(2)
 	cfg.RoundDuration = time.Millisecond
 	cfg.BatchWindow = 2 * time.Millisecond
-	c, err := NewCluster(cfg)
+	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestCoalescerFlushesOnWindow(t *testing.T) {
 	defer c.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := c.Node(0).Send(ctx, []byte("solo"), nil); err != nil {
+	if _, err := c.Node(0).Send(ctx, 0, []byte("solo"), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitConverged(t, c, mid.SeqVector{1, 0}, 10*time.Second)
@@ -120,20 +122,20 @@ func TestCoalescerFlushesOnWindow(t *testing.T) {
 
 // TestCoalescerStopFailsPendingWindow pins the shutdown edge: submissions
 // queued inside an open batch window when Stop arrives must be answered —
-// each waiter gets ErrCoalescerStopped on its Res channel — never left
+// each waiter gets rt.ErrCoalescerStopped on its Res channel — never left
 // blocked on a flush that will not happen.
 func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 	enqueued := 0
-	c := NewCoalescer(time.Hour, 16, 1<<20,
+	c := rt.NewCoalescer(time.Hour, 16, 1<<20,
 		func(fn func()) error { enqueued++; fn(); return nil },
-		func(s *Submission) { t.Error("submission reached submit after Stop") },
+		func(s *rt.Submission) { t.Error("submission reached submit after Stop") },
 		nil)
 	const pending = 5
-	subs := make([]*Submission, pending)
+	subs := make([]*rt.Submission, pending)
 	for i := range subs {
-		subs[i] = &Submission{
+		subs[i] = &rt.Submission{
 			Payload: []byte("pending"),
-			Res:     make(chan SubResult, 1),
+			Res:     make(chan rt.SubResult, 1),
 			Confirm: make(chan struct{}),
 		}
 		c.Add(subs[i])
@@ -145,8 +147,8 @@ func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 	for i, s := range subs {
 		select {
 		case r := <-s.Res:
-			if r.Err != ErrCoalescerStopped {
-				t.Errorf("submission %d: err = %v, want ErrCoalescerStopped", i, r.Err)
+			if r.Err != rt.ErrCoalescerStopped {
+				t.Errorf("submission %d: err = %v, want rt.ErrCoalescerStopped", i, r.Err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("submission %d leaked: no Res after Stop", i)
@@ -154,12 +156,12 @@ func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 	}
 	// Idempotent, and Adds after Stop fail immediately the same way.
 	c.Stop()
-	late := &Submission{Res: make(chan SubResult, 1)}
+	late := &rt.Submission{Res: make(chan rt.SubResult, 1)}
 	c.Add(late)
 	select {
 	case r := <-late.Res:
-		if r.Err != ErrCoalescerStopped {
-			t.Errorf("post-Stop Add: err = %v, want ErrCoalescerStopped", r.Err)
+		if r.Err != rt.ErrCoalescerStopped {
+			t.Errorf("post-Stop Add: err = %v, want rt.ErrCoalescerStopped", r.Err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("post-Stop Add leaked: no Res")
@@ -167,13 +169,13 @@ func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 }
 
 // TestClusterStopUnblocksWindowedSends drives the same edge end to end: a
-// Send sitting inside an open window when Cluster.Stop runs must return an
+// Send sitting inside an open window when the cluster stops must return an
 // error instead of hanging on its confirm channel.
 func TestClusterStopUnblocksWindowedSends(t *testing.T) {
 	cfg := liveConfig(2)
 	cfg.RoundDuration = time.Millisecond
 	cfg.BatchWindow = time.Hour // never fires: only Stop can resolve the Send
-	c, err := NewCluster(cfg)
+	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,23 +183,15 @@ func TestClusterStopUnblocksWindowedSends(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Node(0).Send(context.Background(), []byte("stranded"), nil)
+		_, err := c.Node(0).Send(context.Background(), 0, []byte("stranded"), nil)
 		done <- err
 	}()
-	// Wait until the submission is actually inside the coalescer window, so
-	// Stop races against a queued waiter rather than an unstarted goroutine.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.nodes[0].coal.mu.Lock()
-		queued := len(c.nodes[0].coal.pending)
-		c.nodes[0].coal.mu.Unlock()
-		if queued > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("submission never entered the coalescer window")
-		}
-		time.Sleep(time.Millisecond)
+	// The hour-long window holds the submission: nothing may resolve it
+	// before Stop.
+	select {
+	case err := <-done:
+		t.Fatalf("Send returned before Stop (err %v): the window did not hold it", err)
+	case <-time.After(50 * time.Millisecond):
 	}
 	c.Stop()
 	select {
@@ -206,7 +200,7 @@ func TestClusterStopUnblocksWindowedSends(t *testing.T) {
 			t.Error("Send stranded in a stopped coalescer returned nil error")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Send leaked: still blocked after Cluster.Stop")
+		t.Fatal("Send leaked: still blocked after Stop")
 	}
 }
 
@@ -221,7 +215,7 @@ func TestUDPOversizeSendCounted(t *testing.T) {
 	}
 	reg := obs.New()
 	peers := freePorts(t, 2)
-	node, err := NewUDPNode(UDPConfig{
+	node, err := topics.NewMultiNode(topics.Config{
 		// K is high so the lone live node does not exclude its silent peer
 		// (or itself) before the assertion runs.
 		Config:        core.Config{N: 2, K: 100, R: 256, SelfExclusion: true},
@@ -239,13 +233,13 @@ func TestUDPOversizeSendCounted(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	payload := make([]byte, 65535) // accepted by Submit; oversize once framed
-	if _, err := node.Send(ctx, payload, nil); err != nil {
+	if _, err := node.Send(ctx, 0, payload, nil); err != nil {
 		t.Fatalf("oversize-on-wire send must still confirm locally: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter("udp_send_oversize_total").Value() == 0 {
+	for reg.Counter("topics_send_oversize_total").Value() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("udp_send_oversize_total never incremented for a >64KiB frame")
+			t.Fatal("topics_send_oversize_total never incremented for a >64KiB frame")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -261,9 +255,9 @@ func TestUDPBatchedGroupConverges(t *testing.T) {
 	const n = 3
 	reg := obs.New()
 	peers := freePorts(t, n)
-	nodes := make([]*UDPNode, n)
+	nodes := make([]*topics.MultiNode, n)
 	for i := 0; i < n; i++ {
-		node, err := NewUDPNode(UDPConfig{
+		node, err := topics.NewMultiNode(topics.Config{
 			Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
 			Self:          mid.ProcID(i),
 			Peers:         peers,
@@ -296,7 +290,7 @@ func TestUDPBatchedGroupConverges(t *testing.T) {
 			i, k := i, k
 			go func() {
 				defer wg.Done()
-				if _, err := nodes[i].Send(ctx, []byte(fmt.Sprintf("ub%d-%d", i, k)), nil); err != nil {
+				if _, err := nodes[i].Send(ctx, 0, []byte(fmt.Sprintf("ub%d-%d", i, k)), nil); err != nil {
 					errs <- fmt.Errorf("node %d send %d: %w", i, k, err)
 				}
 			}()
@@ -315,7 +309,7 @@ func TestUDPBatchedGroupConverges(t *testing.T) {
 		for i := 0; i < n; i++ {
 			var got mid.SeqVector
 			sctx, scancel := context.WithTimeout(ctx, 2*time.Second)
-			err := nodes[i].Snapshot(sctx, func(p *core.Process) { got = p.Processed().Clone() })
+			err := nodes[i].Snapshot(sctx, 0, func(p *core.Process) { got = p.Processed().Clone() })
 			scancel()
 			if err != nil || !got.Equal(want) {
 				ok = false
@@ -330,7 +324,7 @@ func TestUDPBatchedGroupConverges(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if reg.Counter("udp_send_oversize_total").Value() != 0 {
+	if reg.Counter("topics_send_oversize_total").Value() != 0 {
 		t.Error("batched traffic tripped the oversize guard; the batcher must split to the datagram budget")
 	}
 }

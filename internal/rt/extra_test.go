@@ -1,39 +1,58 @@
-package rt
+package rt_test
 
 import (
 	"context"
 	"testing"
 	"time"
+	"urcgc/internal/topics"
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
 )
 
+// TestConfigDefaultsFilled pins the zero-value contract: a cluster built
+// from the protocol parameters alone runs (round, inbox and indication
+// defaults are filled), and explicit tuning survives.
 func TestConfigDefaultsFilled(t *testing.T) {
-	cfg := Config{Config: core.Config{N: 2, K: 2, R: 5, SelfExclusion: true}}
-	cfg.fill()
-	if cfg.RoundDuration == 0 || cfg.InboxDepth == 0 || cfg.IndicationDepth == 0 {
-		t.Errorf("defaults not filled: %+v", cfg)
+	c, err := topics.NewMultiCluster(topics.Config{Config: core.Config{N: 2, K: 2, R: 5, SelfExclusion: true}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Explicit values survive.
-	cfg2 := Config{
-		Config:        core.Config{N: 2, K: 2, R: 5, SelfExclusion: true},
-		RoundDuration: time.Second, InboxDepth: 7, IndicationDepth: 9,
+	if got := cap(indications(c.Node(0))); got == 0 {
+		t.Error("indication queue default not filled")
 	}
-	cfg2.fill()
-	if cfg2.RoundDuration != time.Second || cfg2.InboxDepth != 7 || cfg2.IndicationDepth != 9 {
-		t.Errorf("explicit values overwritten: %+v", cfg2)
+	c.Start()
+	defer c.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := c.Node(0).Send(ctx, 0, []byte("x"), nil); err != nil {
+		t.Fatalf("defaults do not run: %v", err)
+	}
+	select {
+	case <-indications(c.Node(1)):
+	case <-ctx.Done():
+		t.Fatal("no indication delivered under default tuning")
+	}
+
+	cfg := liveConfig(2)
+	cfg.IndicationDepth = 9
+	c2, err := topics.NewMultiCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(indications(c2.Node(0))); got != 9 {
+		t.Errorf("explicit indication depth overwritten: %d", got)
 	}
 }
 
 func TestInvalidConfigRejected(t *testing.T) {
-	if _, err := NewCluster(Config{Config: core.Config{N: 0}}); err == nil {
+	if _, err := topics.NewMultiCluster(topics.Config{Config: core.Config{N: 0}}); err == nil {
 		t.Error("invalid core config must be rejected")
 	}
 }
 
 func TestKilledNodeRejectsSends(t *testing.T) {
-	c, err := NewCluster(liveConfig(2))
+	c, err := topics.NewMultiCluster(liveConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,27 +64,27 @@ func TestKilledNodeRejectsSends(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := c.Node(1).Send(ctx, []byte("x"), nil); err == nil {
+	if _, err := c.Node(1).Send(ctx, 0, []byte("x"), nil); err == nil {
 		t.Error("send on a killed node must fail")
 	}
 	// SendCausal too.
-	if _, err := c.Node(1).SendCausal(ctx, []byte("x")); err == nil {
+	if _, err := c.Node(1).SendCausal(ctx, 0, []byte("x")); err == nil {
 		t.Error("SendCausal on a killed node must fail")
 	}
 }
 
 func TestLeftReportsNothingInitially(t *testing.T) {
-	c, err := NewCluster(liveConfig(2))
+	c, err := topics.NewMultiCluster(liveConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, left := c.Node(0).Left(); left {
+	if _, left := c.Node(0).Left(0); left {
 		t.Error("fresh node should not have left")
 	}
 }
 
 func TestSnapshotAfterStopFails(t *testing.T) {
-	c, err := NewCluster(liveConfig(2))
+	c, err := topics.NewMultiCluster(liveConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +92,14 @@ func TestSnapshotAfterStopFails(t *testing.T) {
 	c.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	err = c.Node(0).Snapshot(ctx, func(*core.Process) {})
+	err = c.Node(0).Snapshot(ctx, 0, func(*core.Process) {})
 	if err == nil {
 		t.Error("snapshot after Stop should fail")
 	}
 }
 
 func TestContextCancelUnblocksSend(t *testing.T) {
-	c, err := NewCluster(liveConfig(3))
+	c, err := topics.NewMultiCluster(liveConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +108,7 @@ func TestContextCancelUnblocksSend(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Node(0).Send(ctx, []byte("x"), nil)
+		_, err := c.Node(0).Send(ctx, 0, []byte("x"), nil)
 		done <- err
 	}()
 	select {
@@ -105,7 +124,7 @@ func TestContextCancelUnblocksSend(t *testing.T) {
 }
 
 func TestIndicationOrderPerSequence(t *testing.T) {
-	c, err := NewCluster(liveConfig(3))
+	c, err := topics.NewMultiCluster(liveConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +134,7 @@ func TestIndicationOrderPerSequence(t *testing.T) {
 	defer cancel()
 	const k = 5
 	for i := 0; i < k; i++ {
-		if _, err := c.Node(0).Send(ctx, []byte{byte(i)}, nil); err != nil {
+		if _, err := c.Node(0).Send(ctx, 0, []byte{byte(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +142,7 @@ func TestIndicationOrderPerSequence(t *testing.T) {
 	var seen []mid.Seq
 	for len(seen) < k {
 		select {
-		case ind := <-c.Node(1).Indications():
+		case ind := <-indications(c.Node(1)):
 			if ind.Msg.ID.Proc == 0 {
 				seen = append(seen, ind.Msg.ID.Seq)
 			}

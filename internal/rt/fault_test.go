@@ -1,12 +1,11 @@
-package rt
+package rt_test
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
+	"urcgc/internal/topics"
 
 	"urcgc/internal/core"
 	"urcgc/internal/faultrt"
@@ -30,7 +29,7 @@ func TestMeshFaultHookCrashAndConverge(t *testing.T) {
 	cfg := liveConfig(4)
 	cfg.Metrics = reg
 	cfg.Fault = hook
-	c, err := NewCluster(cfg)
+	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,7 @@ func TestMeshFaultHookCrashAndConverge(t *testing.T) {
 			if i == 2 {
 				continue
 			}
-			if _, err := c.Node(mid.ProcID(i)).Send(ctx, []byte(fmt.Sprintf("m%d-%d", i, k)), nil); err != nil {
+			if _, err := c.Node(mid.ProcID(i)).Send(ctx, 0, []byte(fmt.Sprintf("m%d-%d", i, k)), nil); err != nil {
 				t.Fatalf("node %d send %d: %v", i, k, err)
 			}
 			want[i]++
@@ -72,109 +71,6 @@ func TestMeshFaultHookCrashAndConverge(t *testing.T) {
 	}
 }
 
-// TestSendAbandonedDoesNotLeakWaiter is the regression test for the
-// waiter-map leak: a Send abandoned on context timeout while its message
-// is still unprocessed must remove its confirm entry. Long rounds make the
-// outbox flow control (one user message broadcast per subrun) hold the
-// later submissions back past the context deadline deterministically.
-func TestSendAbandonedDoesNotLeakWaiter(t *testing.T) {
-	cfg := Config{
-		Config:        core.Config{N: 3, K: 3, R: 8},
-		RoundDuration: 200 * time.Millisecond,
-	}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
-
-	n := c.Node(1)
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	const sends = 3
-	var (
-		wg   sync.WaitGroup
-		ids  [sends]mid.MID
-		errs [sends]error
-	)
-	for j := 0; j < sends; j++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ids[j], errs[j] = n.Send(ctx, []byte("stuck"), nil)
-		}()
-	}
-	wg.Wait()
-	abandoned := 0
-	for j := 0; j < sends; j++ {
-		if errs[j] != nil && ids[j] != (mid.MID{}) {
-			abandoned++
-		}
-	}
-	// The first submission may ride the initial subrun's broadcast, but
-	// the rest cannot leave the outbox before 400ms.
-	if abandoned < sends-1 {
-		t.Fatalf("only %d sends were abandoned mid-flight (ids %v, errs %v): the leak path was not exercised",
-			abandoned, ids, errs)
-	}
-	n.mu.Lock()
-	leaked := len(n.waiters)
-	n.mu.Unlock()
-	if leaked != 0 {
-		t.Errorf("%d waiter entries leaked after abandoned sends", leaked)
-	}
-}
-
-// TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines is the same regression
-// for the UDP runtime, plus a shutdown goroutine-leak check: a member
-// whose peer never answers abandons its send on timeout, must leave no
-// waiter entry behind, and Stop must wind down every goroutine.
-func TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real sockets and timers")
-	}
-	before := runtime.NumGoroutine()
-	peers := freePorts(t, 2)
-	node, err := NewUDPNode(UDPConfig{
-		Config:        core.Config{N: 2, K: 3, R: 8},
-		Self:          1, // peer 0 is never started
-		Peers:         peers,
-		RoundDuration: 200 * time.Millisecond, // first tick after the deadline
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.Start()
-
-	// No round ticks before the deadline, so no submission can leave the
-	// outbox: every send is abandoned with its confirm still pending.
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	id, err := node.Send(ctx, []byte("stuck"), nil)
-	if err == nil {
-		t.Fatal("send confirmed before the first round tick")
-	}
-	if id == (mid.MID{}) {
-		t.Fatalf("send failed before registering its waiter (err %v): the leak path was not exercised", err)
-	}
-	node.mu.Lock()
-	leaked := len(node.waiters)
-	node.mu.Unlock()
-	if leaked != 0 {
-		t.Errorf("%d waiter entries leaked after abandoned send", leaked)
-	}
-
-	node.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked after Stop: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestUDPGroupConvergesUnderFaults reruns the UDP convergence test with a
 // fault hook on every member's socket boundary injecting omissions and
 // duplicates; the protocol must recover everything.
@@ -184,9 +80,9 @@ func TestUDPGroupConvergesUnderFaults(t *testing.T) {
 	}
 	const n = 3
 	peers := freePorts(t, n)
-	nodes := make([]*UDPNode, n)
+	nodes := make([]*topics.MultiNode, n)
 	for i := 0; i < n; i++ {
-		node, err := NewUDPNode(UDPConfig{
+		node, err := topics.NewMultiNode(topics.Config{
 			Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
 			Self:          mid.ProcID(i),
 			Peers:         peers,
@@ -216,7 +112,7 @@ func TestUDPGroupConvergesUnderFaults(t *testing.T) {
 	const perNode = 4
 	for k := 0; k < perNode; k++ {
 		for i := 0; i < n; i++ {
-			if _, err := nodes[i].Send(ctx, []byte(fmt.Sprintf("f%d-%d", i, k)), nil); err != nil {
+			if _, err := nodes[i].Send(ctx, 0, []byte(fmt.Sprintf("f%d-%d", i, k)), nil); err != nil {
 				t.Fatalf("node %d send %d: %v", i, k, err)
 			}
 		}
@@ -228,7 +124,7 @@ func TestUDPGroupConvergesUnderFaults(t *testing.T) {
 		for i := 0; i < n; i++ {
 			var got mid.SeqVector
 			sctx, scancel := context.WithTimeout(ctx, 2*time.Second)
-			err := nodes[i].Snapshot(sctx, func(p *core.Process) { got = p.Processed().Clone() })
+			err := nodes[i].Snapshot(sctx, 0, func(p *core.Process) { got = p.Processed().Clone() })
 			scancel()
 			if err != nil || !got.Equal(want) {
 				ok = false

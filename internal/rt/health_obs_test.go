@@ -1,10 +1,12 @@
-package rt
+package rt_test
 
 import (
 	"context"
 	"fmt"
 	"testing"
 	"time"
+	"urcgc/internal/rt"
+	"urcgc/internal/topics"
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
@@ -20,7 +22,7 @@ func TestProtocolHealthGauges(t *testing.T) {
 	reg := obs.New()
 	cfg := liveConfig(3)
 	cfg.Metrics = reg
-	c, err := NewCluster(cfg)
+	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func TestProtocolHealthGauges(t *testing.T) {
 	const perNode = 4
 	for k := 0; k < perNode; k++ {
 		for i := 0; i < c.N(); i++ {
-			if _, err := c.Node(mid.ProcID(i)).Send(ctx, []byte(fmt.Sprintf("h%d-%d", i, k)), nil); err != nil {
+			if _, err := c.Node(mid.ProcID(i)).Send(ctx, 0, []byte(fmt.Sprintf("h%d-%d", i, k)), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -110,7 +112,7 @@ func TestProtocolHealthGauges(t *testing.T) {
 // subrun/view/stability hooks never run on deliver.
 func TestSamplerDisabledDeliverAllocFree(t *testing.T) {
 	bare := driveWaitCascade(t, core.Callbacks{})
-	o := NewNodeObs(obs.New(), 0, 3)
+	o := rt.NewNodeObs(obs.New(), 0, 3, 0)
 	instrumented := driveWaitCascade(t, o.Install(core.Callbacks{}))
 	if extra := instrumented - bare; extra > 0.5 {
 		t.Errorf("metrics hooks add %.2f allocs/op to the deliver path, want 0", extra)

@@ -1,10 +1,11 @@
-package rt
+package rt_test
 
 import (
 	"context"
 	"sync/atomic"
 	"testing"
 	"time"
+	"urcgc/internal/topics"
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
@@ -17,17 +18,17 @@ func TestRestartedNodeRejoins(t *testing.T) {
 	const victim = 3
 	cfg := liveConfig(4)
 	var installed, joined atomic.Bool
-	cfg.JoinInstalled = func(node mid.ProcID, stable mid.SeqVector) {
+	cfg.JoinInstalled = func(node mid.ProcID, _ uint32, stable mid.SeqVector) {
 		if node == victim && len(stable) == 4 {
 			installed.Store(true)
 		}
 	}
-	cfg.Joined = func(node mid.ProcID) {
+	cfg.Joined = func(node mid.ProcID, _ uint32) {
 		if node == victim {
 			joined.Store(true)
 		}
 	}
-	c, err := NewCluster(cfg)
+	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestRestartedNodeRejoins(t *testing.T) {
 	defer cancel()
 
 	for i := 0; i < 4; i++ {
-		if _, err := c.Node(mid.ProcID(i)).Send(ctx, []byte("warm"), nil); err != nil {
+		if _, err := c.Node(mid.ProcID(i)).Send(ctx, 0, []byte("warm"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,7 +46,7 @@ func TestRestartedNodeRejoins(t *testing.T) {
 	// Traffic drives the silence detection.
 	waitFor(t, ctx, 20*time.Second, "survivors never excluded the victim", func() bool {
 		for i := 0; i < 3; i++ {
-			if _, err := c.Node(mid.ProcID(i)).Send(ctx, []byte("drive"), nil); err != nil {
+			if _, err := c.Node(mid.ProcID(i)).Send(ctx, 0, []byte("drive"), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -65,7 +66,7 @@ func TestRestartedNodeRejoins(t *testing.T) {
 	// Traffic keeps subruns decision-bearing while the joiner re-enters.
 	waitFor(t, ctx, 30*time.Second, "restarted member never rejoined", func() bool {
 		for i := 0; i < 3; i++ {
-			if _, err := c.Node(mid.ProcID(i)).Send(ctx, []byte("drive"), nil); err != nil {
+			if _, err := c.Node(mid.ProcID(i)).Send(ctx, 0, []byte("drive"), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -86,7 +87,7 @@ func TestRestartedNodeRejoins(t *testing.T) {
 	})
 	waitFor(t, ctx, 20*time.Second, "rejoined member never accepted a Send", func() bool {
 		sctx, scancel := context.WithTimeout(ctx, 2*time.Second)
-		_, err := c.Node(victim).Send(sctx, []byte("back"), nil)
+		_, err := c.Node(victim).Send(sctx, 0, []byte("back"), nil)
 		scancel()
 		return err == nil
 	})
@@ -100,11 +101,11 @@ func TestRestartedNodeRejoins(t *testing.T) {
 }
 
 // aliveAt samples whether member at's view believes q alive.
-func aliveAt(t *testing.T, c *Cluster, at, q mid.ProcID) bool {
+func aliveAt(t *testing.T, c *topics.MultiCluster, at, q mid.ProcID) bool {
 	t.Helper()
 	var alive bool
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	err := c.Node(at).Snapshot(ctx, func(p *core.Process) { alive = p.View().Alive(q) })
+	err := c.Node(at).Snapshot(ctx, 0, func(p *core.Process) { alive = p.View().Alive(q) })
 	cancel()
 	return err == nil && alive
 }

@@ -13,8 +13,7 @@ import (
 // carries no tracing branches when the layer is disabled — the same
 // optional-callback pattern NodeObs uses. Apply it after NodeObs.Install
 // so the chains compose; every hook runs on the goroutine driving the
-// protocol entity. Exported so the multi-group runtime (internal/topics)
-// chains the same stage hooks onto its per-group sessions.
+// protocol entity.
 func InstallLifecycle(tr *lifecycle.Tracer, cb core.Callbacks) core.Callbacks {
 	if tr == nil {
 		return cb

@@ -1,10 +1,12 @@
-package rt
+package rt_test
 
 import (
 	"context"
 	"strings"
 	"testing"
 	"time"
+	"urcgc/internal/rt"
+	"urcgc/internal/topics"
 
 	"urcgc/internal/causal"
 	"urcgc/internal/core"
@@ -65,9 +67,9 @@ func driveWaitCascade(t *testing.T, cb core.Callbacks) float64 {
 // no-op OnWait installed, the scratch buffer keeps the delta at zero
 // allocations per message.
 func TestLifecycleDisabledAllocFree(t *testing.T) {
-	if cb := InstallLifecycle(nil, core.Callbacks{}); cb.OnGenerate != nil ||
+	if cb := rt.InstallLifecycle(nil, core.Callbacks{}); cb.OnGenerate != nil ||
 		cb.OnBroadcast != nil || cb.OnWait != nil || cb.OnStable != nil {
-		t.Fatal("InstallLifecycle(nil, ...) must not install stage hooks")
+		t.Fatal("rt.InstallLifecycle(nil, ...) must not install stage hooks")
 	}
 	disabled := driveWaitCascade(t, core.Callbacks{})
 	// The park+deliver pair's pre-existing cost: EffectiveDeps clones in
@@ -92,7 +94,7 @@ func TestLiveLifecycleTrace(t *testing.T) {
 	cfg := liveConfig(3)
 	cfg.Metrics = reg
 	cfg.Lifecycle = &lifecycle.Options{SlowThreshold: 10 * time.Second}
-	c, err := NewCluster(cfg)
+	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +104,12 @@ func TestLiveLifecycleTrace(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 0; i < 5; i++ {
-		if _, err := c.Node(0).Send(ctx, []byte("hello"), nil); err != nil {
+		if _, err := c.Node(0).Send(ctx, 0, []byte("hello"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	tr := c.Node(0).Lifecycle()
+	tr := c.Node(0).Lifecycle(0)
 	if tr == nil {
 		t.Fatal("Lifecycle() = nil with tracing enabled")
 	}
@@ -142,17 +144,17 @@ func TestLiveLifecycleTrace(t *testing.T) {
 	// Its processing of the later messages may trail node 0's stability of
 	// the first, so poll.
 	for {
-		if c1 := c.Node(1).Lifecycle().Counts(); c1.Completed >= 5 {
+		if c1 := c.Node(1).Lifecycle(0).Counts(); c1.Completed >= 5 {
 			break
 		} else if time.Now().After(deadline) {
 			t.Fatalf("node 1 completed %d spans, want >= 5", c1.Completed)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if h := reg.Histogram(obs.Labeled("lifecycle_emit_to_process_seconds", "node", "0"), nil); h.Count() < 5 {
+	if h := reg.Histogram(obs.Labeled("lifecycle_emit_to_process_seconds", "node", "0", "group", "0"), nil); h.Count() < 5 {
 		t.Fatalf("emit_to_process histogram count = %d", h.Count())
 	}
-	if h := reg.Histogram(obs.Labeled("lifecycle_stability_lag_seconds", "node", "0", "sender", "0"), nil); h.Count() == 0 {
+	if h := reg.Histogram(obs.Labeled("lifecycle_stability_lag_seconds", "node", "0", "group", "0", "sender", "0"), nil); h.Count() == 0 {
 		t.Fatal("stability_lag histogram empty")
 	}
 	r := tr.Report(5, 5)
@@ -168,11 +170,11 @@ func TestLiveLifecycleTrace(t *testing.T) {
 
 // TestLifecycleDisabledByDefault pins the default-off contract.
 func TestLifecycleDisabledByDefault(t *testing.T) {
-	c, err := NewCluster(liveConfig(2))
+	c, err := topics.NewMultiCluster(liveConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Node(0).Lifecycle() != nil {
+	if c.Node(0).Lifecycle(0) != nil {
 		t.Fatal("Lifecycle() non-nil without opting in")
 	}
 }

@@ -1,128 +1,139 @@
-package rt
+package rt_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
+	"time"
 
-	"urcgc/internal/causal"
-	"urcgc/internal/core"
+	"urcgc/internal/capture"
 	"urcgc/internal/mid"
+	"urcgc/internal/topics"
 	"urcgc/internal/wire"
 )
 
-// drainInboxes runs every queued closure on the caller's goroutine. Only
-// valid for clusters that were never Started (no loop goroutines racing).
-func drainInboxes(c *Cluster) {
-	for _, n := range c.nodes {
-		for {
-			select {
-			case fn := <-n.inbox:
-				fn()
-			default:
-				goto next
+// wireAudit is what one short clean run put on the wire, read back from
+// every member's capture ring: the runtime records each framed PDU once on
+// egress (a broadcast once, whatever its fan-out) and each arrival once on
+// ingress.
+type wireAudit struct {
+	marshals   uint64
+	broadcasts int // egress records addressed to every peer
+	unicasts   int // egress records addressed to one peer
+	delivered  int // ingress records handed to a protocol entity
+}
+
+// auditRun drives n members, over the mesh or over loopback UDP, through a
+// few sends each with a capture ring per member, and reports the wire
+// marshals the whole run cost against the frames it captured.
+func auditRun(t *testing.T, n int, udp bool) wireAudit {
+	t.Helper()
+	cfg := liveConfig(n)
+	cfg.Captures = make([]*capture.Ring, n)
+	for i := range cfg.Captures {
+		cfg.Captures[i] = capture.New(capture.Options{Node: mid.ProcID(i), N: n, K: cfg.K, R: cfg.R, MaxFrames: 1 << 16})
+	}
+	before := wire.MarshalCalls()
+	nodes := make([]*topics.MultiNode, n)
+	var stop func()
+	if udp {
+		cfg.RoundDuration = 3 * time.Millisecond
+		cfg.Peers = freePorts(t, n)
+		for i := range nodes {
+			cfg.Self = mid.ProcID(i)
+			node, err := topics.NewMultiNode(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes[i] = node
+			node.Start()
+		}
+		stop = func() {
+			for _, node := range nodes {
+				node.Stop()
 			}
 		}
-	next:
+	} else {
+		c, err := topics.NewMultiCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range nodes {
+			nodes[i] = c.Node(mid.ProcID(i))
+		}
+		c.Start()
+		stop = c.Stop
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for k := 0; k < 3; k++ {
+		for i, node := range nodes {
+			if _, err := node.Send(ctx, 0, []byte(fmt.Sprintf("a%d-%d", i, k)), nil); err != nil {
+				stop()
+				t.Fatal(err)
+			}
+		}
+	}
+	stop() // every shard has exited: no frame is half marshaled, half recorded
+	a := wireAudit{marshals: wire.MarshalCalls() - before}
+	for _, ring := range cfg.Captures {
+		for _, r := range ring.Snapshot().Records {
+			switch {
+			case r.Dir == capture.DirEgress && r.Peer == mid.None:
+				a.broadcasts++
+			case r.Dir == capture.DirEgress:
+				a.unicasts++
+			case r.Verdict == capture.Delivered:
+				a.delivered++
+			}
+		}
+	}
+	return a
 }
 
-func broadcastPDU() wire.PDU {
-	return &wire.Data{Msg: causal.Message{
-		ID:      mid.MID{Proc: 0, Seq: 1},
-		Payload: make([]byte, 64),
-	}}
-}
-
-// TestMeshBroadcastMarshalsOnce asserts the tentpole property on the
-// in-process mesh: one Broadcast = exactly one wire marshal, however many
-// peers receive the bytes.
+// TestMeshBroadcastMarshalsOnce asserts the fan-out property on the
+// in-process mesh: one Broadcast is exactly one wire marshal, however many
+// peers receive the bytes, and decoding the fan-out marshals nothing.
 func TestMeshBroadcastMarshalsOnce(t *testing.T) {
-	c, err := NewCluster(liveConfig(5)) // never Started: inboxes drain manually
-	if err != nil {
-		t.Fatal(err)
+	const n = 5
+	a := auditRun(t, n, false)
+	if a.broadcasts == 0 {
+		t.Fatal("no broadcast captured")
 	}
-	tr := meshTransport{n: c.nodes[0]}
-	before := wire.MarshalCalls()
-	tr.Broadcast(broadcastPDU())
-	if got := wire.MarshalCalls() - before; got != 1 {
-		t.Fatalf("Broadcast to %d peers marshaled %d times, want exactly 1", c.N()-1, got)
+	if frames := uint64(a.broadcasts + a.unicasts); a.marshals != frames {
+		t.Fatalf("%d marshals for %d framed PDUs (%d broadcasts to %d peers each): want one per frame",
+			a.marshals, frames, a.broadcasts, n-1)
 	}
-	// Every peer (and not the sender) holds exactly one datagram.
-	for i, n := range c.nodes {
-		want := 1
-		if i == 0 {
-			want = 0
-		}
-		if got := len(n.inbox); got != want {
-			t.Errorf("node %d inbox holds %d datagrams, want %d", i, got, want)
-		}
-	}
-	// Decoding the fan-out must not marshal either.
-	before = wire.MarshalCalls()
-	drainInboxes(c)
-	if got := wire.MarshalCalls() - before; got != 0 {
-		t.Errorf("receive path marshaled %d times, want 0", got)
+	// Every peer received every frame: the fan-out reused the one encoding.
+	if want := a.broadcasts*(n-1) + a.unicasts; a.delivered != want {
+		t.Errorf("%d frames delivered, want %d", a.delivered, want)
 	}
 }
 
-// TestMeshSendMarshalsOnce pins the unicast path to one marshal too.
+// TestMeshSendMarshalsOnce pins the unicast path (requests, recovery) to
+// one marshal per frame too.
 func TestMeshSendMarshalsOnce(t *testing.T) {
-	c, err := NewCluster(liveConfig(3))
-	if err != nil {
-		t.Fatal(err)
+	a := auditRun(t, 3, false)
+	if a.unicasts == 0 {
+		t.Fatal("no unicast captured")
 	}
-	tr := meshTransport{n: c.nodes[0]}
-	before := wire.MarshalCalls()
-	tr.Send(1, broadcastPDU())
-	if got := wire.MarshalCalls() - before; got != 1 {
-		t.Fatalf("Send marshaled %d times, want exactly 1", got)
-	}
-	drainInboxes(c)
-}
-
-// TestMeshBroadcastAllocBudget guards the send side of the mesh fan-out.
-// The budget covers the per-broadcast bookkeeping (shared-buffer refcount,
-// one queued closure per peer, and a fresh wire buffer while none cycle
-// back through the pool); a re-marshal-per-peer regression costs several
-// allocations per peer and blows well past it.
-func TestMeshBroadcastAllocBudget(t *testing.T) {
-	c, err := NewCluster(liveConfig(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := meshTransport{n: c.nodes[0]}
-	pdu := broadcastPDU()
-	got := testing.AllocsPerRun(100, func() {
-		tr.Broadcast(pdu)
-	})
-	drainInboxes(c)
-	if got > 8 {
-		t.Errorf("mesh Broadcast allocates %.1f/op, budget 8", got)
+	if frames := uint64(a.broadcasts + a.unicasts); a.marshals != frames {
+		t.Fatalf("%d marshals for %d framed PDUs, want one per frame", a.marshals, frames)
 	}
 }
 
 // TestUDPBroadcastMarshalsOnce asserts the same property over the real
-// socket transport: one Broadcast = one marshal = one framed buffer, fanned
-// out to every peer with WriteToUDP.
+// socket transport: one framed buffer per PDU, shared by every
+// destination's datagram.
 func TestUDPBroadcastMarshalsOnce(t *testing.T) {
-	addrs := freePorts(t, 3)
-	n, err := NewUDPNode(UDPConfig{
-		Config: core.Config{N: 3, K: 3, R: 8, SelfExclusion: true},
-		Self:   0,
-		Peers:  addrs,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if testing.Short() {
+		t.Skip("real sockets and timers")
 	}
-	defer n.Stop()
-	tr := udpTransport{n: n}
-	before := wire.MarshalCalls()
-	tr.Broadcast(broadcastPDU())
-	if got := wire.MarshalCalls() - before; got != 1 {
-		t.Fatalf("UDP Broadcast to %d peers marshaled %d times, want exactly 1", n.cfg.N-1, got)
+	a := auditRun(t, 3, true)
+	if a.broadcasts == 0 || a.delivered == 0 {
+		t.Fatalf("no traffic captured: %+v", a)
 	}
-	before = wire.MarshalCalls()
-	tr.Send(1, broadcastPDU())
-	if got := wire.MarshalCalls() - before; got != 1 {
-		t.Fatalf("UDP Send marshaled %d times, want exactly 1", got)
+	if frames := uint64(a.broadcasts + a.unicasts); a.marshals != frames {
+		t.Fatalf("%d marshals for %d framed PDUs, want one per frame", a.marshals, frames)
 	}
 }

@@ -1,3 +1,9 @@
+// Package rt holds the pieces of the live runtime that every hosted group
+// shares, independent of how frames move: the per-entity instrument set
+// (NodeObs), the lifecycle stage hooks (InstallLifecycle), the coalescing
+// sender (Coalescer) and the race-free protocol sample served on /status
+// (Status). The runtime itself — shard loops, mesh and UDP backends, fault
+// and capture hooks — is internal/topics.
 package rt
 
 import (
@@ -13,12 +19,14 @@ import (
 
 // NodeObs holds one protocol entity's pre-resolved instruments, so hot
 // paths touch atomics instead of registry maps. A nil *NodeObs disables
-// everything. Exported so the multi-group runtime (internal/topics) reuses
-// the same instrument set with an extra group label.
+// everything. Every series carries the {node, group} label pair.
 type NodeObs struct {
-	reg *obs.Registry
+	reg   *obs.Registry
+	node  mid.ProcID
+	group int
 
 	processed   *obs.Counter
+	rounds      *obs.Counter
 	indDropped  *obs.Counter
 	inboxDrops  *obs.Counter
 	decisions   *obs.Counter
@@ -56,19 +64,21 @@ type NodeObs struct {
 	subrunStart time.Time
 }
 
-// NewNodeObs resolves the per-member instrument set for a group of n;
-// nil registry → nil. Every series carries a node label; extraLabels
-// appends further Prometheus label pairs (the multi-group runtime passes
-// "group", "<g>" so each group's series stay separable).
-func NewNodeObs(reg *obs.Registry, id mid.ProcID, n int, extraLabels ...string) *NodeObs {
+// NewNodeObs resolves the instrument set of member id's entity in one
+// hosted group of n members; nil registry → nil.
+func NewNodeObs(reg *obs.Registry, id mid.ProcID, n, group int) *NodeObs {
 	if reg == nil {
 		return nil
 	}
-	kv := append([]string{"node", strconv.Itoa(int(id))}, extraLabels...)
-	l := func(name string) string { return obs.Labeled(name, kv...) }
+	l := func(name string) string {
+		return obs.Labeled(name, "node", strconv.Itoa(int(id)), "group", strconv.Itoa(group))
+	}
 	o := &NodeObs{
 		reg:         reg,
+		node:        id,
+		group:       group,
 		processed:   reg.Counter(l("rt_processed_total")),
+		rounds:      reg.Counter(l("rt_rounds_total")),
 		indDropped:  reg.Counter(l("rt_indications_dropped_total")),
 		inboxDrops:  reg.Counter(l("rt_inbox_dropped_total")),
 		decisions:   reg.Counter(l("rt_decisions_total")),
@@ -229,13 +239,16 @@ func (o *NodeObs) MarkJoining(v bool) {
 	}
 }
 
-// MarkRound notes the subrun open for decision-latency measurement. Loop
-// goroutine only.
+// MarkRound counts round r and notes a subrun open for decision-latency
+// measurement. Loop goroutine only.
 func (o *NodeObs) MarkRound(r int) {
-	if o == nil || r%2 != 0 {
+	if o == nil {
 		return
 	}
-	o.subrunStart = time.Now()
+	o.rounds.Inc()
+	if r%2 == 0 {
+		o.subrunStart = time.Now()
+	}
 }
 
 // Coalesced records one coalescer flush of n submissions. Safe from any
@@ -256,12 +269,12 @@ func (o *NodeObs) IndicationDropped() {
 // InboxDropped counts a datagram refused by a full inbox and records the
 // by-design omission as a trace event, so the recovery path is verifiable
 // from the log rather than assumed.
-func (o *NodeObs) InboxDropped(id mid.ProcID) {
+func (o *NodeObs) InboxDropped() {
 	if o == nil {
 		return
 	}
 	o.inboxDrops.Inc()
-	o.reg.Events().Addf("inbox-drop node=%d (full inbox: omission, recovered from history)", id)
+	o.reg.Events().Addf("inbox-drop node=%d group=%d (full inbox: omission, recovered from history)", o.node, o.group)
 }
 
 // ObserveConfirm records one Rq→Conf latency (the paper's delay, wall-
@@ -277,14 +290,4 @@ func (o *NodeObs) SampleInbox(depth int) {
 	if o != nil {
 		o.inboxDepth.Set(int64(depth))
 	}
-}
-
-// Processed returns the number of messages processed at this member so far
-// — the per-group shutdown-summary count of the multi-group runtime. Safe
-// from any goroutine; 0 when observability is disabled.
-func (o *NodeObs) Processed() int64 {
-	if o == nil {
-		return 0
-	}
-	return o.processed.Value()
 }

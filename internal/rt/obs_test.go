@@ -1,4 +1,4 @@
-package rt
+package rt_test
 
 import (
 	"context"
@@ -8,19 +8,25 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"urcgc/internal/topics"
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
 )
 
-// nodeCounter reads a per-node labeled counter from the registry.
+// series names one member's group-0 series.
+func series(name string, node int) string {
+	return obs.Labeled(name, "node", fmt.Sprint(node), "group", "0")
+}
+
+// nodeCounter reads a member's group-0 counter from the registry.
 func nodeCounter(reg *obs.Registry, name string, node int) int64 {
-	return reg.Counter(obs.Labeled(name, "node", fmt.Sprint(node))).Value()
+	return reg.Counter(series(name, node)).Value()
 }
 
 func nodeGauge(reg *obs.Registry, name string, node int) int64 {
-	return reg.Gauge(obs.Labeled(name, "node", fmt.Sprint(node))).Value()
+	return reg.Gauge(series(name, node)).Value()
 }
 
 // TestClusterMetrics runs a live in-process cluster with a metrics registry
@@ -32,7 +38,7 @@ func TestClusterMetrics(t *testing.T) {
 	reg := obs.New()
 	cfg := liveConfig(3)
 	cfg.Metrics = reg
-	c, err := NewCluster(cfg)
+	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +81,7 @@ func TestClusterMetrics(t *testing.T) {
 	const perNode = 5
 	for k := 0; k < perNode; k++ {
 		for i := 0; i < c.N(); i++ {
-			if _, err := c.Node(mid.ProcID(i)).Send(ctx, []byte(fmt.Sprintf("m%d-%d", i, k)), nil); err != nil {
+			if _, err := c.Node(mid.ProcID(i)).Send(ctx, 0, []byte(fmt.Sprintf("m%d-%d", i, k)), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -86,7 +92,7 @@ func TestClusterMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := reg.Counter("rt_rounds_total").Value(); got == 0 {
+	if got := nodeCounter(reg, "rt_rounds_total", 0); got == 0 {
 		t.Error("rt_rounds_total never incremented")
 	}
 	if got := reg.Histogram("rt_round_barrier_seconds", nil).Count(); got == 0 {
@@ -99,14 +105,14 @@ func TestClusterMetrics(t *testing.T) {
 		if got := nodeCounter(reg, "rt_processed_total", i); got < perNode*int64(c.N()) {
 			t.Errorf("node %d: rt_processed_total = %d, want ≥ %d", i, got, perNode*c.N())
 		}
-		lat := reg.Histogram(obs.Labeled("rt_confirm_latency_seconds", "node", fmt.Sprint(i)), nil)
+		lat := reg.Histogram(series("rt_confirm_latency_seconds", i), nil)
 		if lat.Count() < perNode {
 			t.Errorf("node %d: confirm latency count = %d, want ≥ %d", i, lat.Count(), perNode)
 		}
 		if lat.Count() > 0 && lat.Mean() <= 0 {
 			t.Errorf("node %d: confirm latency mean = %v", i, lat.Mean())
 		}
-		dlat := reg.Histogram(obs.Labeled("rt_decision_latency_seconds", "node", fmt.Sprint(i)), nil)
+		dlat := reg.Histogram(series("rt_decision_latency_seconds", i), nil)
 		if dlat.Count() == 0 {
 			t.Errorf("node %d: rt_decision_latency_seconds never observed", i)
 		}
@@ -143,7 +149,7 @@ func TestMetricsServedOverHTTP(t *testing.T) {
 	reg := obs.New()
 	cfg := liveConfig(2)
 	cfg.Metrics = reg
-	c, err := NewCluster(cfg)
+	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +157,7 @@ func TestMetricsServedOverHTTP(t *testing.T) {
 	defer c.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if _, err := c.Node(0).Send(ctx, []byte("x"), nil); err != nil {
+	if _, err := c.Node(0).Send(ctx, 0, []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitConverged(t, c, mid.SeqVector{1, 0}, 10*time.Second)
@@ -161,8 +167,8 @@ func TestMetricsServedOverHTTP(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE rt_rounds_total counter",
-		`rt_decisions_total{node="0"}`,
-		`core_history_len{node="1"}`,
+		`rt_decisions_total{node="0",group="0"}`,
+		`core_history_len{node="1",group="0"}`,
 		"rt_confirm_latency_seconds_bucket",
 	} {
 		if !strings.Contains(out, want) {
@@ -179,7 +185,7 @@ func TestUDPReaderCountsMalformedDatagrams(t *testing.T) {
 	}
 	reg := obs.New()
 	var logged int
-	node, err := NewUDPNode(UDPConfig{
+	node, err := topics.NewMultiNode(topics.Config{
 		Config:        core.Config{N: 1, K: 1, R: 3, SelfExclusion: true},
 		Self:          0,
 		Peers:         []string{"127.0.0.1:0"},
@@ -221,9 +227,9 @@ func TestUDPReaderCountsMalformedDatagrams(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		short := reg.Counter("udp_drop_short_total").Value()
-		badsrc := reg.Counter("udp_drop_badsrc_total").Value()
-		decode := reg.Counter("udp_drop_decode_total").Value()
+		short := reg.Counter("topics_drop_envelope_total").Value()
+		badsrc := reg.Counter("topics_drop_badsrc_total").Value()
+		decode := reg.Counter("topics_drop_decode_total").Value()
 		if short >= 1 && badsrc >= 1 && decode >= 1 {
 			break
 		}
@@ -232,8 +238,8 @@ func TestUDPReaderCountsMalformedDatagrams(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if reg.Counter("udp_recv_datagrams_total").Value() < 3 {
-		t.Errorf("udp_recv_datagrams_total = %d, want ≥ 3", reg.Counter("udp_recv_datagrams_total").Value())
+	if reg.Counter("topics_recv_datagrams_total").Value() < 3 {
+		t.Errorf("topics_recv_datagrams_total = %d, want ≥ 3", reg.Counter("topics_recv_datagrams_total").Value())
 	}
 }
 
@@ -244,7 +250,7 @@ func TestInboxOverflowIsCountedAndTraced(t *testing.T) {
 	cfg := liveConfig(2)
 	cfg.Metrics = reg
 	cfg.InboxDepth = 1
-	c, err := NewCluster(cfg)
+	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +265,7 @@ func TestInboxOverflowIsCountedAndTraced(t *testing.T) {
 		i := i
 		go func() {
 			for k := 0; k < 8; k++ {
-				if _, err := c.Node(mid.ProcID(i)).Send(ctx, []byte(fmt.Sprintf("ov%d-%d", i, k)), nil); err != nil {
+				if _, err := c.Node(mid.ProcID(i)).Send(ctx, 0, []byte(fmt.Sprintf("ov%d-%d", i, k)), nil); err != nil {
 					errs <- err
 					return
 				}

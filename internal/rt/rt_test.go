@@ -1,4 +1,8 @@
-package rt
+// The rt tests drive the live runtime as a single-group (G=1) member of
+// internal/topics: rt's instruments, lifecycle hooks, coalescer and status
+// sample are the pieces every hosted group shares, and these tests pin
+// them end to end through the one host.
+package rt_test
 
 import (
 	"context"
@@ -8,10 +12,17 @@ import (
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
+	"urcgc/internal/topics"
 )
 
-func liveConfig(n int) Config {
-	return Config{
+// indications returns a member's group-0 indication stream.
+func indications(n *topics.MultiNode) <-chan topics.Indication {
+	ch, _ := n.Indications(0)
+	return ch
+}
+
+func liveConfig(n int) topics.Config {
+	return topics.Config{
 		Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
 		RoundDuration: 500 * time.Microsecond,
 	}
@@ -19,7 +30,7 @@ func liveConfig(n int) Config {
 
 // waitConverged polls until every live node's processed vector equals want,
 // or the deadline passes.
-func waitConverged(t *testing.T, c *Cluster, want mid.SeqVector, timeout time.Duration) {
+func waitConverged(t *testing.T, c *topics.MultiCluster, want mid.SeqVector, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -29,12 +40,12 @@ func waitConverged(t *testing.T, c *Cluster, want mid.SeqVector, timeout time.Du
 			if n.Killed() {
 				continue
 			}
-			if _, left := n.Left(); left {
+			if _, left := n.Left(0); left {
 				continue
 			}
 			var got mid.SeqVector
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			err := n.Snapshot(ctx, func(p *core.Process) { got = p.Processed().Clone() })
+			err := n.Snapshot(ctx, 0, func(p *core.Process) { got = p.Processed().Clone() })
 			cancel()
 			if err != nil || !got.Equal(want) {
 				ok = false
@@ -50,7 +61,7 @@ func waitConverged(t *testing.T, c *Cluster, want mid.SeqVector, timeout time.Du
 		n := c.Node(mid.ProcID(i))
 		var got mid.SeqVector
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_ = n.Snapshot(ctx, func(p *core.Process) { got = p.Processed().Clone() })
+		_ = n.Snapshot(ctx, 0, func(p *core.Process) { got = p.Processed().Clone() })
 		cancel()
 		t.Logf("node %d processed %v killed=%v", i, got, n.Killed())
 	}
@@ -58,7 +69,7 @@ func waitConverged(t *testing.T, c *Cluster, want mid.SeqVector, timeout time.Du
 }
 
 func TestLiveClusterConverges(t *testing.T) {
-	c, err := NewCluster(liveConfig(5))
+	c, err := topics.NewMultiCluster(liveConfig(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +83,7 @@ func TestLiveClusterConverges(t *testing.T) {
 		i := i
 		go func() {
 			for k := 0; k < perProc; k++ {
-				if _, err := c.Node(mid.ProcID(i)).Send(ctx, []byte(fmt.Sprintf("n%d-%d", i, k)), nil); err != nil {
+				if _, err := c.Node(mid.ProcID(i)).Send(ctx, 0, []byte(fmt.Sprintf("n%d-%d", i, k)), nil); err != nil {
 					errs <- err
 					return
 				}
@@ -89,7 +100,7 @@ func TestLiveClusterConverges(t *testing.T) {
 }
 
 func TestIndicationsAreCausallyOrdered(t *testing.T) {
-	c, err := NewCluster(liveConfig(3))
+	c, err := topics.NewMultiCluster(liveConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +110,14 @@ func TestIndicationsAreCausallyOrdered(t *testing.T) {
 	defer cancel()
 
 	// Node 0 sends a; node 1 waits to see a, then sends b depending on it.
-	aID, err := c.Node(0).Send(ctx, []byte("a"), nil)
+	aID, err := c.Node(0).Send(ctx, 0, []byte("a"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sawA bool
 	for !sawA {
 		select {
-		case ind := <-c.Node(1).Indications():
+		case ind := <-indications(c.Node(1)):
 			if ind.Msg.ID == aID {
 				sawA = true
 			}
@@ -114,7 +125,7 @@ func TestIndicationsAreCausallyOrdered(t *testing.T) {
 			t.Fatal("node 1 never saw a")
 		}
 	}
-	bID, err := c.Node(1).Send(ctx, []byte("b"), mid.DepList{aID})
+	bID, err := c.Node(1).Send(ctx, 0, []byte("b"), mid.DepList{aID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +133,7 @@ func TestIndicationsAreCausallyOrdered(t *testing.T) {
 	posA, posB, pos := -1, -1, 0
 	for posB < 0 {
 		select {
-		case ind := <-c.Node(2).Indications():
+		case ind := <-indications(c.Node(2)):
 			switch ind.Msg.ID {
 			case aID:
 				posA = pos
@@ -140,7 +151,7 @@ func TestIndicationsAreCausallyOrdered(t *testing.T) {
 }
 
 func TestSendRejectsBadDeps(t *testing.T) {
-	c, err := NewCluster(liveConfig(3))
+	c, err := topics.NewMultiCluster(liveConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +159,13 @@ func TestSendRejectsBadDeps(t *testing.T) {
 	defer c.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := c.Node(0).Send(ctx, []byte("x"), mid.DepList{{Proc: 1, Seq: 99}}); err == nil {
+	if _, err := c.Node(0).Send(ctx, 0, []byte("x"), mid.DepList{{Proc: 1, Seq: 99}}); err == nil {
 		t.Error("dep on unseen message must be rejected")
 	}
 }
 
 func TestKilledNodeIsExcludedAndGroupContinues(t *testing.T) {
-	c, err := NewCluster(liveConfig(5))
+	c, err := topics.NewMultiCluster(liveConfig(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +176,7 @@ func TestKilledNodeIsExcludedAndGroupContinues(t *testing.T) {
 
 	// Warm up with some traffic.
 	for i := 0; i < 5; i++ {
-		if _, err := c.Node(mid.ProcID(i)).Send(ctx, []byte("warm"), nil); err != nil {
+		if _, err := c.Node(mid.ProcID(i)).Send(ctx, 0, []byte("warm"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +184,7 @@ func TestKilledNodeIsExcludedAndGroupContinues(t *testing.T) {
 	// Keep traffic flowing so detection progresses.
 	for k := 0; k < 10; k++ {
 		for i := 0; i < 4; i++ {
-			if _, err := c.Node(mid.ProcID(i)).Send(ctx, []byte("post"), nil); err != nil {
+			if _, err := c.Node(mid.ProcID(i)).Send(ctx, 0, []byte("post"), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -185,7 +196,7 @@ func TestKilledNodeIsExcludedAndGroupContinues(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			var alive bool
 			sctx, scancel := context.WithTimeout(ctx, time.Second)
-			err := c.Node(mid.ProcID(i)).Snapshot(sctx, func(p *core.Process) { alive = p.View().Alive(4) })
+			err := c.Node(mid.ProcID(i)).Snapshot(sctx, 0, func(p *core.Process) { alive = p.View().Alive(4) })
 			scancel()
 			if err != nil || alive {
 				allExcluded = false
@@ -201,14 +212,14 @@ func TestKilledNodeIsExcludedAndGroupContinues(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// And they can still make progress.
-	if _, err := c.Node(0).Send(ctx, []byte("after"), nil); err != nil {
+	if _, err := c.Node(0).Send(ctx, 0, []byte("after"), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitConverged(t, c, mid.SeqVector{12, 11, 11, 11, 1}, 15*time.Second)
 }
 
 func TestSendCausal(t *testing.T) {
-	c, err := NewCluster(liveConfig(3))
+	c, err := topics.NewMultiCluster(liveConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +227,11 @@ func TestSendCausal(t *testing.T) {
 	defer c.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := c.Node(0).Send(ctx, []byte("a"), nil); err != nil {
+	if _, err := c.Node(0).Send(ctx, 0, []byte("a"), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitConverged(t, c, mid.SeqVector{1, 0, 0}, 10*time.Second)
-	id, err := c.Node(1).SendCausal(ctx, []byte("b"))
+	id, err := c.Node(1).SendCausal(ctx, 0, []byte("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +242,7 @@ func TestSendCausal(t *testing.T) {
 }
 
 func TestStopUnblocksSenders(t *testing.T) {
-	c, err := NewCluster(liveConfig(2))
+	c, err := topics.NewMultiCluster(liveConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +253,7 @@ func TestStopUnblocksSenders(t *testing.T) {
 		defer cancel()
 		// Kill node 0 so its own Send can never confirm; Stop must unblock.
 		c.Node(0).Kill()
-		_, err := c.Node(0).Send(ctx, []byte("never"), nil)
+		_, err := c.Node(0).Send(ctx, 0, []byte("never"), nil)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

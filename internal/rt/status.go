@@ -1,14 +1,12 @@
 package rt
 
 import (
-	"context"
-
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
 )
 
 // Status is a consistent sample of one live member's protocol state,
-// captured inside the node loop goroutine and cloned, so it is safe to
+// captured on the goroutine that owns the entity and cloned, so it is safe to
 // hold and read from anywhere. It is the supported way to observe a live
 // member; the raw core.Process accessors are loop-goroutine-only (see the
 // core.Process concurrency contract). The JSON shape is what
@@ -50,9 +48,8 @@ type Status struct {
 	Alive []bool `json:"alive"`
 	// Stats is a copy of the protocol activity counters.
 	Stats core.Stats `json:"stats"`
-	// GroupProcessed, when the member hosts multiple groups (internal/topics),
-	// is the per-group processed-message count; empty for single-group
-	// members, so existing consumers see an unchanged shape.
+	// GroupProcessed, when the member hosts multiple groups, is the
+	// per-group processed-message count; empty for single-group members.
 	GroupProcessed []int64 `json:"group_processed,omitempty"`
 	// Groups, when the member hosts multiple groups, is a per-group
 	// protocol summary — what urcgc-inspect needs to judge view divergence
@@ -98,8 +95,7 @@ func GroupStatusOf(group uint32, p *core.Process) GroupStatus {
 	}
 }
 
-// StatusOf samples p. Exported for the multi-group runtime (internal/topics),
-// which snapshots each group's process on its shard goroutine. Must run on the goroutine driving p.
+// StatusOf samples p. Must run on the goroutine driving p.
 func StatusOf(p *core.Process) Status {
 	return Status{
 		ID:              p.ID(),
@@ -117,20 +113,4 @@ func StatusOf(p *core.Process) Status {
 		Alive:           append([]bool(nil), p.View().AliveMask()...),
 		Stats:           p.Stats,
 	}
-}
-
-// Status captures a race-free sample of the member's protocol state by
-// running inside the node goroutine.
-func (n *Node) Status(ctx context.Context) (Status, error) {
-	var s Status
-	err := n.Snapshot(ctx, func(p *core.Process) { s = StatusOf(p) })
-	return s, err
-}
-
-// Status captures a race-free sample of the member's protocol state by
-// running inside the node goroutine.
-func (n *UDPNode) Status(ctx context.Context) (Status, error) {
-	var s Status
-	err := n.Snapshot(ctx, func(p *core.Process) { s = StatusOf(p) })
-	return s, err
 }

@@ -1,4 +1,4 @@
-package rt
+package rt_test
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"net"
 	"testing"
 	"time"
+	"urcgc/internal/topics"
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
@@ -36,9 +37,9 @@ func TestUDPGroupConverges(t *testing.T) {
 	}
 	const n = 3
 	peers := freePorts(t, n)
-	nodes := make([]*UDPNode, n)
+	nodes := make([]*topics.MultiNode, n)
 	for i := 0; i < n; i++ {
-		node, err := NewUDPNode(UDPConfig{
+		node, err := topics.NewMultiNode(topics.Config{
 			Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
 			Self:          mid.ProcID(i),
 			Peers:         peers,
@@ -63,7 +64,7 @@ func TestUDPGroupConverges(t *testing.T) {
 	const perNode = 4
 	for k := 0; k < perNode; k++ {
 		for i := 0; i < n; i++ {
-			if _, err := nodes[i].Send(ctx, []byte(fmt.Sprintf("u%d-%d", i, k)), nil); err != nil {
+			if _, err := nodes[i].Send(ctx, 0, []byte(fmt.Sprintf("u%d-%d", i, k)), nil); err != nil {
 				t.Fatalf("node %d send %d: %v", i, k, err)
 			}
 		}
@@ -75,7 +76,7 @@ func TestUDPGroupConverges(t *testing.T) {
 		for i := 0; i < n; i++ {
 			var got mid.SeqVector
 			sctx, scancel := context.WithTimeout(ctx, 2*time.Second)
-			err := nodes[i].Snapshot(sctx, func(p *core.Process) { got = p.Processed().Clone() })
+			err := nodes[i].Snapshot(sctx, 0, func(p *core.Process) { got = p.Processed().Clone() })
 			scancel()
 			if err != nil || !got.Equal(want) {
 				ok = false
@@ -89,7 +90,7 @@ func TestUDPGroupConverges(t *testing.T) {
 			for i := 0; i < n; i++ {
 				var got mid.SeqVector
 				sctx, scancel := context.WithTimeout(ctx, 2*time.Second)
-				_ = nodes[i].Snapshot(sctx, func(p *core.Process) { got = p.Processed().Clone() })
+				_ = nodes[i].Snapshot(sctx, 0, func(p *core.Process) { got = p.Processed().Clone() })
 				scancel()
 				t.Logf("node %d: %v", i, got)
 			}
@@ -100,7 +101,7 @@ func TestUDPGroupConverges(t *testing.T) {
 }
 
 func TestUDPConfigValidation(t *testing.T) {
-	_, err := NewUDPNode(UDPConfig{
+	_, err := topics.NewMultiNode(topics.Config{
 		Config: core.Config{N: 3, K: 2, R: 5, SelfExclusion: true},
 		Self:   0,
 		Peers:  []string{"127.0.0.1:0"},
@@ -108,7 +109,7 @@ func TestUDPConfigValidation(t *testing.T) {
 	if err == nil {
 		t.Error("peer count mismatch must fail")
 	}
-	_, err = NewUDPNode(UDPConfig{
+	_, err = topics.NewMultiNode(topics.Config{
 		Config: core.Config{N: 2, K: 2, R: 5, SelfExclusion: true},
 		Self:   5,
 		Peers:  []string{"127.0.0.1:0", "127.0.0.1:0"},
@@ -116,7 +117,7 @@ func TestUDPConfigValidation(t *testing.T) {
 	if err == nil {
 		t.Error("self out of range must fail")
 	}
-	_, err = NewUDPNode(UDPConfig{
+	_, err = topics.NewMultiNode(topics.Config{
 		Config: core.Config{N: 1, K: 1, R: 3, SelfExclusion: true},
 		Self:   0,
 		Peers:  []string{"not-an-address"},

@@ -10,7 +10,9 @@
 // Group Message Transfer sublayer (message processing, history storage and
 // recovery — also in internal/core, with internal/transport supplying the
 // t-SAP service when h > 1). This package is the thin, paper-faithful
-// facade over those entities as embodied by a live runtime node.
+// facade over those entities as embodied by the live runtime: one SAP per
+// member per hosted group, as in the paper's one urcgc entity per member
+// per group.
 package stack
 
 import (
@@ -18,7 +20,7 @@ import (
 
 	"urcgc/internal/causal"
 	"urcgc/internal/mid"
-	"urcgc/internal/rt"
+	"urcgc/internal/topics"
 )
 
 // DataInd is the urcgc-data.Ind primitive: a message has been delivered and
@@ -39,29 +41,35 @@ type DataConf struct {
 // entity acts as both the client generating messages and the server
 // processing them, so a single SAP carries both directions.
 type SAP struct {
-	node *rt.Node
-	ind  chan DataInd
-	stop chan struct{}
+	node  *topics.MultiNode
+	group uint32
+	ind   chan DataInd
+	stop  chan struct{}
 }
 
-// Open attaches a SAP to a live group member and starts translating its
-// indications. Close releases it.
-func Open(node *rt.Node) *SAP {
-	s := &SAP{
-		node: node,
-		ind:  make(chan DataInd, 1024),
-		stop: make(chan struct{}),
+// Open attaches a SAP to one hosted group of a live member and starts
+// translating its indications. Close releases it.
+func Open(node *topics.MultiNode, group uint32) (*SAP, error) {
+	raw, err := node.Indications(group)
+	if err != nil {
+		return nil, err
 	}
-	go s.pump()
-	return s
+	s := &SAP{
+		node:  node,
+		group: group,
+		ind:   make(chan DataInd, 1024),
+		stop:  make(chan struct{}),
+	}
+	go s.pump(raw)
+	return s, nil
 }
 
-func (s *SAP) pump() {
+func (s *SAP) pump(in <-chan topics.Indication) {
 	for {
 		select {
 		case <-s.stop:
 			return
-		case raw := <-s.node.Indications():
+		case raw := <-in:
 			select {
 			case s.ind <- DataInd{Msg: raw.Msg}:
 			case <-s.stop:
@@ -85,7 +93,7 @@ func (s *SAP) Member() mid.ProcID { return s.node.ID() }
 // attainable service rate; failures slow the rate because messages wait for
 // recovery from history of those they causally depend on.
 func (s *SAP) DataRq(ctx context.Context, payload []byte, deps mid.DepList) (DataConf, error) {
-	id, err := s.node.Send(ctx, payload, deps)
+	id, err := s.node.Send(ctx, s.group, payload, deps)
 	if err != nil {
 		return DataConf{}, err
 	}
@@ -95,7 +103,7 @@ func (s *SAP) DataRq(ctx context.Context, payload []byte, deps mid.DepList) (Dat
 // DataRqCausal is DataRq with the conservative labelling: the message
 // depends on the latest message processed from every other live sequence.
 func (s *SAP) DataRqCausal(ctx context.Context, payload []byte) (DataConf, error) {
-	id, err := s.node.SendCausal(ctx, payload)
+	id, err := s.node.SendCausal(ctx, s.group, payload)
 	if err != nil {
 		return DataConf{}, err
 	}

@@ -7,12 +7,12 @@ import (
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
-	"urcgc/internal/rt"
+	"urcgc/internal/topics"
 )
 
-func newGroup(t *testing.T, n int) (*rt.Cluster, []*SAP) {
+func newGroup(t *testing.T, n int) (*topics.MultiCluster, []*SAP) {
 	t.Helper()
-	c, err := rt.NewCluster(rt.Config{
+	c, err := topics.NewMultiCluster(topics.Config{
 		Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
 		RoundDuration: 500 * time.Microsecond,
 	})
@@ -23,7 +23,9 @@ func newGroup(t *testing.T, n int) (*rt.Cluster, []*SAP) {
 	t.Cleanup(c.Stop)
 	saps := make([]*SAP, n)
 	for i := 0; i < n; i++ {
-		saps[i] = Open(c.Node(mid.ProcID(i)))
+		if saps[i], err = Open(c.Node(mid.ProcID(i)), 0); err != nil {
+			t.Fatal(err)
+		}
 		t.Cleanup(saps[i].Close)
 	}
 	return c, saps

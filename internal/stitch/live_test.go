@@ -14,27 +14,30 @@ import (
 	"urcgc/internal/topics"
 )
 
-// Hold levels for the live stuck-message test's drop hook.
-const (
-	holdNone    = iota
-	holdFromOne // member 1's group-1 frames to member 2 are withheld
-	holdAll     // all group-1 frames into member 2 are withheld
-)
-
 // TestTraceStuckMessageEndToEnd is the acceptance demo as a test: member
-// 1 deliberately withholds a group-1 message from member 2, member 0's
-// causal send then parks at member 2 behind the dependency it never
-// received, and Collect+Stitch over the real per-node /trace surface must
-// name the blocking member and the dependency MID.
+// 2 never receives member 0's group-1 dependency, member 1's causal send
+// on top of it parks at member 2, and Collect+Stitch over the real
+// per-node /trace surface must name the blocking member and the
+// dependency MID.
 //
-// The hold escalates in two steps: first only member 1's frames to
-// member 2 are dropped (so the dependency spreads to members 0 and 1 but
-// not 2), then — once the blocked message has parked at member 2 — every
-// group-1 frame into member 2 is dropped, which keeps the recovery
-// machinery (RECOVER/RETRANSMIT via the decision's most-updated holder)
-// from healing the gap under the test. Long rounds make the escalation
-// race-free: recovery needs a decision cycle, the escalation needs
-// milliseconds.
+// The scenario is built so the gap cannot heal before the blocked message
+// lands. Member 2 learns that a message is missing only from a decision
+// or from a coordinator's requests, and recovers it from the decision's
+// most-updated holder: the lowest-id member that reported the sequence's
+// maximum, so the origin, member 0, whenever its request reached the
+// coordinator. The hold on group-1 frames into member 2 has three phases:
+//
+//   - all: while the dependency spreads, every group-1 frame into member
+//     2 is dropped, so it learns nothing;
+//   - from member 1: once member 1 has processed the dependency, only
+//     member 1's frames pass, so its causal send arrives and parks. A
+//     decision member 2 sees now names member 0 as holder, whose frames
+//     stay withheld;
+//   - all again, as soon as the blocked message shows on member 2's
+//     /trace: were member 2 coordinating, member 1's request alone would
+//     name member 1 as holder at the next decision phase, a round later.
+//
+// Long rounds keep the last step race-free: it needs milliseconds.
 func TestTraceStuckMessageEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live cluster and timers")
@@ -42,9 +45,14 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 	const (
 		n     = 3
 		round = 300 * time.Millisecond
+		none  = -1 // hold: withhold nothing
+		all   = n  // hold: withhold every group-1 frame into member 2
 	)
 
+	// hold names the only member whose group-1 frames still reach member
+	// 2, or none / all.
 	var hold atomic.Int32
+	hold.Store(none)
 	cl, err := topics.NewMultiCluster(topics.Config{
 		// K far above what the test can span keeps the one-sided silence
 		// from becoming a crash declaration.
@@ -58,13 +66,8 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 			SlowThreshold: 50 * time.Millisecond,
 		},
 		DropFrame: func(group uint32, src, dst mid.ProcID) bool {
-			switch hold.Load() {
-			case holdFromOne:
-				return group == 1 && src == 1 && dst == 2
-			case holdAll:
-				return group == 1 && dst == 2
-			}
-			return false
+			h := hold.Load()
+			return h != none && group == 1 && dst == 2 && int32(src) != h
 		},
 	})
 	if err != nil {
@@ -89,32 +92,33 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 	defer cancel()
 
 	// Both groups flowing first, so the stitch also joins healthy
-	// completed spans.
+	// completed spans; member 2 must hold member 0's group-1 warm-up before
+	// the hold starts, so the one gap it later lacks is the dependency.
 	if _, err := cl.Node(0).Send(ctx, 0, []byte("ok"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Node(0).Send(ctx, 1, []byte("warm"), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Member 1 broadcasts the dependency while its frames to member 2 are
-	// withheld: members 0 and 1 process it, member 2 never receives it.
-	hold.Store(holdFromOne)
-	dep, err := cl.Node(1).Send(ctx, 1, []byte("withheld"), nil)
+	warm, err := cl.Node(0).Send(ctx, 1, []byte("warm"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitProcessed(t, ctx, cl.Node(2), warm)
 
-	// Member 0's causal send depends on everything it processed — the
-	// withheld message included. Member 2 receives it (0→2 still flows)
-	// and parks it behind the dependency it lacks.
-	blocked, err := cl.Node(0).SendCausal(ctx, 1, []byte("blocked"))
+	// Member 0 broadcasts the dependency while member 2 hears nothing of
+	// group 1; member 1 processes it.
+	hold.Store(all)
+	dep, err := cl.Node(0).Send(ctx, 1, []byte("withheld"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitProcessed(t, ctx, cl.Node(1), dep)
 
-	// As soon as the blocked message shows on member 2's /trace, cut all
-	// group-1 traffic into member 2 so recovery cannot heal the gap.
+	// Member 1's causal send depends on everything it processed — the
+	// withheld message included — and is the one stream into member 2.
+	hold.Store(1)
+	blocked, err := cl.Node(1).SendCausal(ctx, 1, []byte("blocked"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	arrival := time.Now().Add(30 * time.Second)
 	for {
 		nt := collectOne(Config{Nodes: []string{addrs[2]}, Group: 1}.fill(), addrs[2])
@@ -126,13 +130,13 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	hold.Store(holdAll)
+	hold.Store(all)
 
 	deadline := time.Now().Add(30 * time.Second)
 	var rep *Report
 	for {
 		rep = Stitch(Collect(Config{Nodes: addrs, Group: -1}))
-		if blockedOn(rep, blocked.String(), dep.String()) {
+		if blockedOn(rep, blocked.String(), dep) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -144,8 +148,23 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 	var sb strings.Builder
 	rep.Write(&sb, 10)
 	out := sb.String()
-	if !strings.Contains(out, dep.String()) || !strings.Contains(out, "member 1") {
+	if !strings.Contains(out, dep.String()) || !strings.Contains(out, "member 0") {
 		t.Fatalf("text report does not name the blocking member and MID:\n%s", out)
+	}
+}
+
+// waitProcessed polls until the member has processed id in group 1.
+func waitProcessed(t *testing.T, ctx context.Context, node *topics.MultiNode, id mid.MID) {
+	t.Helper()
+	for {
+		var have mid.Seq
+		if err := node.Snapshot(ctx, 1, func(p *core.Process) { have = p.Processed()[id.Proc] }); err != nil {
+			t.Fatal(err)
+		}
+		if have >= id.Seq {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -167,10 +186,9 @@ func hasSpan(nt NodeTrace, mid string) bool {
 }
 
 // blockedOn reports whether the stitched view holds the blocked group-1
-// message stuck at member 2, attributed to member 1's withheld dependency
-// — which members 0 and 1 did see, so it must read as in flight
-// elsewhere.
-func blockedOn(r *Report, blockedMID, depMID string) bool {
+// message stuck at member 2, attributed to the withheld dependency — which
+// members 0 and 1 did see, so it must read as in flight elsewhere.
+func blockedOn(r *Report, blockedMID string, dep mid.MID) bool {
 	for _, m := range r.Messages {
 		if m.Group != 1 || m.MID != blockedMID {
 			continue
@@ -185,7 +203,7 @@ func blockedOn(r *Report, blockedMID, depMID string) bool {
 			continue
 		}
 		for _, b := range m.Blocked {
-			if b.DepMID == depMID && b.DepMember == 1 && b.SeenAnywhere {
+			if b.DepMID == dep.String() && b.DepMember == int(dep.Proc) && b.SeenAnywhere {
 				return true
 			}
 		}

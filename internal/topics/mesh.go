@@ -1,22 +1,25 @@
 package topics
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"time"
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
-	"urcgc/internal/wire"
+	"urcgc/internal/obs"
 )
 
-// MultiCluster is an in-process group of multi-group members, for tests
-// and benchmarks: every frame still crosses the wire codec and the group
-// envelope, so the demux path is exercised byte-for-byte as over UDP, but
-// delivery is a function call instead of a socket.
+// MultiCluster is an in-process cluster of members, for tests, the chaos
+// harness, the examples and the benchmarks: every frame still crosses the
+// wire codec, the group envelope and the shared ingress byte for byte as
+// over UDP, but delivery is a function call instead of a socket.
 //
-// Rounds run in lockstep across every node and group — each round's
-// barrier waits for all G×N protocol entities — removing
-// scheduler-starvation artifacts exactly as rt.Cluster does for one group.
+// Rounds run in lockstep across every member and group — each round's
+// barrier waits for all G×N protocol entities — which removes
+// scheduler-starvation artifacts: a member ticking late would look
+// omission-faulty and eventually be excluded.
 type MultiCluster struct {
 	cfg   Config
 	nodes []*MultiNode
@@ -26,9 +29,8 @@ type MultiCluster struct {
 	wg       sync.WaitGroup
 }
 
-// NewMultiCluster builds (but does not start) N in-process multi-group
-// members. Config.Self and Config.Peers are ignored; every member hosts
-// every group.
+// NewMultiCluster builds (but does not start) N in-process members.
+// Config.Self and Config.Peers are ignored; every member hosts every group.
 func NewMultiCluster(cfg Config) (*MultiCluster, error) {
 	cfg.fill(true)
 	if err := cfg.validate(); err != nil {
@@ -39,19 +41,16 @@ func NewMultiCluster(cfg Config) (*MultiCluster, error) {
 	for i := range c.nodes {
 		ncfg := cfg
 		ncfg.Self = mid.ProcID(i)
-		n := newMultiNode(ncfg)
-		n.mesh = c
-		c.nodes[i] = n
-	}
-	for _, n := range c.nodes {
-		if err := n.initSessions(func(s *session) core.Transport { return meshTransport{s} }); err != nil {
+		n, err := newMultiNode(ncfg, meshLink{c})
+		if err != nil {
 			return nil, err
 		}
+		c.nodes[i] = n
 	}
 	return c, nil
 }
 
-// Start launches every node's shard loops and the lockstep clock.
+// Start launches every member's shard loops and the lockstep clock.
 func (c *MultiCluster) Start() {
 	for _, n := range c.nodes {
 		n.Start()
@@ -60,8 +59,8 @@ func (c *MultiCluster) Start() {
 	go func() { defer c.wg.Done(); c.clock() }()
 }
 
-// Stop halts the clock, then every node. Pending coalescer submissions are
-// failed, never leaked.
+// Stop halts the clock, then every member. Pending coalescer submissions
+// are failed, never leaked.
 func (c *MultiCluster) Stop() {
 	c.stopOnce.Do(func() { close(c.stopCh) })
 	c.wg.Wait()
@@ -76,26 +75,60 @@ func (c *MultiCluster) Node(i mid.ProcID) *MultiNode { return c.nodes[i] }
 // N returns the group cardinality.
 func (c *MultiCluster) N() int { return c.cfg.N }
 
-// Groups returns how many groups every member hosts.
-func (c *MultiCluster) Groups() int { return c.cfg.Groups }
+// Restart revives member i as a joiner in every hosted group — the
+// kill-and-restart experiment. Each fresh incarnation solicits a live
+// sponsor, installs the state transfer and re-enters its group's view
+// through a decision. The swaps happen on the owning shard goroutines, so
+// in-flight frames never see a half-built entity; the killed flag clears
+// afterwards, so the caller must first make sure any Fault injector no
+// longer reports the member crashed, or the next round re-kills it.
+// Confirm waiters of the previous incarnation stay registered: a message
+// the new incarnation recovers and processes confirms normally, one lost
+// with the crash waits out its context.
+func (c *MultiCluster) Restart(ctx context.Context, i mid.ProcID) error {
+	if i < 0 || int(i) >= c.cfg.N {
+		return fmt.Errorf("topics: restart of member %d outside group of %d", i, c.cfg.N)
+	}
+	n := c.nodes[i]
+	for _, s := range n.sessions {
+		p, err := s.newProc(true)
+		if err != nil {
+			return err
+		}
+		if err := n.Snapshot(ctx, s.group, func(*core.Process) { s.proc = p }); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		s.leftWith = nil
+		s.mu.Unlock()
+	}
+	n.killed.Store(false)
+	return nil
+}
 
-// clock drives rounds in lockstep: every protocol entity of every node
+// clock drives rounds in lockstep: every protocol entity of every member
 // finishes round r before any starts r+1, and at least RoundDuration
-// elapses per round.
+// elapses per round. Each round first fail-stops members whose crash the
+// fault hook has scheduled; a killed member's entities skip the tick. The
+// barrier's wait is the one cluster-wide series, rt_round_barrier_seconds.
 func (c *MultiCluster) clock() {
-	round := 0
+	var barrier *obs.Histogram
+	if c.cfg.Metrics != nil {
+		barrier = c.cfg.Metrics.Histogram("rt_round_barrier_seconds", obs.DurationBuckets)
+	}
 	dones := make([]chan struct{}, 0, c.cfg.N*c.cfg.Groups)
-	for {
+	for round := 0; ; round++ {
 		start := time.Now()
 		r := round
-		round++
 		dones = dones[:0]
 		for _, n := range c.nodes {
+			n.crashCheck()
 			for _, s := range n.sessions {
 				s := s
+				s.obs.SampleInbox(len(s.shard.inbox))
 				done := make(chan struct{})
 				select {
-				case s.shard.inbox <- func() { s.obs.MarkRound(r); s.proc.StartRound(r); close(done) }:
+				case s.shard.inbox <- func() { s.tick(r); close(done) }:
 					dones = append(dones, done)
 				case <-c.stopCh:
 					return
@@ -109,6 +142,9 @@ func (c *MultiCluster) clock() {
 				return
 			}
 		}
+		if barrier != nil {
+			barrier.ObserveSince(start)
+		}
 		if rest := c.cfg.RoundDuration - time.Since(start); rest > 0 {
 			select {
 			case <-time.After(rest):
@@ -119,54 +155,9 @@ func (c *MultiCluster) clock() {
 	}
 }
 
-// meshTransport frames one group's PDUs with the group envelope and feeds
-// them straight into the destination node's demultiplexer — the same
-// validate-decode-dispatch path UDP frames take. The frame buffer never
-// outlives the call: demux decodes a self-owned PDU before returning, so
-// the pooled buffer goes back immediately.
-type meshTransport struct{ s *session }
+// meshLink hands a frame straight to the destination member's ingress —
+// the same validate-decode-dispatch path UDP frames take. The frame never
+// outlives the call: demux decodes a self-owned PDU before returning.
+type meshLink struct{ c *MultiCluster }
 
-func (t meshTransport) frame(pdu wire.PDU) ([]byte, error) {
-	buf := wire.GetBuf(wire.EnvelopeSize(t.s.group) + pdu.EncodedSize())[:0]
-	buf = wire.AppendEnvelope(buf, t.s.group, t.s.m.cfg.Self)
-	return wire.MarshalAppend(buf, pdu)
-}
-
-func (t meshTransport) Send(dst mid.ProcID, pdu wire.PDU) {
-	m := t.s.m
-	if dst == m.cfg.Self || dst < 0 || int(dst) >= m.cfg.N {
-		return
-	}
-	if m.cfg.DropFrame != nil && m.cfg.DropFrame(t.s.group, m.cfg.Self, dst) {
-		return
-	}
-	frame, err := t.frame(pdu)
-	if err != nil || !m.checkSize(frame, pdu) {
-		wire.PutBuf(frame)
-		return
-	}
-	m.mesh.nodes[dst].demux(frame)
-	wire.PutBuf(frame)
-}
-
-// Broadcast marshals the PDU exactly once; every destination demultiplexes
-// its own self-owned PDU from the same bytes.
-func (t meshTransport) Broadcast(pdu wire.PDU) {
-	m := t.s.m
-	frame, err := t.frame(pdu)
-	if err != nil || !m.checkSize(frame, pdu) {
-		wire.PutBuf(frame)
-		return
-	}
-	for i := 0; i < m.cfg.N; i++ {
-		dst := mid.ProcID(i)
-		if dst == m.cfg.Self {
-			continue
-		}
-		if m.cfg.DropFrame != nil && m.cfg.DropFrame(t.s.group, m.cfg.Self, dst) {
-			continue
-		}
-		m.mesh.nodes[dst].demux(frame)
-	}
-	wire.PutBuf(frame)
-}
+func (l meshLink) send(dst mid.ProcID, f *sharedFrame) { l.c.nodes[dst].demux(f.buf) }

@@ -139,12 +139,6 @@ func TestDropFramePartitionsOneGroup(t *testing.T) {
 	}
 }
 
-// nopTransport drops every PDU, as in the rt alloc guards.
-type nopTransport struct{}
-
-func (nopTransport) Send(mid.ProcID, wire.PDU) {}
-func (nopTransport) Broadcast(wire.PDU)        {}
-
 // TestTopicsDisabledObsAllocFree pins the disabled-observability contract
 // on the multi-group deliver path: with Metrics and Lifecycle both nil, a
 // session's park-then-cascade delivery costs exactly the pre-existing
@@ -160,8 +154,8 @@ func TestTopicsDisabledObsAllocFree(t *testing.T) {
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := newMultiNode(cfg)
-	if err := m.initSessions(func(*session) core.Transport { return nopTransport{} }); err != nil {
+	m, err := newMultiNode(cfg, nil) // no link: the driver below never emits
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Shards are never started: the driver below is the only goroutine
@@ -191,7 +185,7 @@ func TestTopicsDisabledObsAllocFree(t *testing.T) {
 	if want := mid.Seq(2 * (runs + 2)); s.proc.Processed()[1] != want {
 		t.Fatalf("processed up to %d, want %d (driver bug)", s.proc.Processed()[1], want)
 	}
-	// Same pre-existing budget as the single-group runtime: the topics
+	// Same pre-existing budget as rt's bare-process guard: the topics
 	// layer must add nothing when observability is off.
 	if got > 13 {
 		t.Errorf("disabled-observability deliver path allocates %.2f/op, budget 13", got)

@@ -1,29 +1,31 @@
-// Package topics runs many independent urcgc groups inside one process
-// over one shared transport. Each group is a full protocol entity — its
-// own rotating coordinator, history buffer and causal order — multiplexed
-// onto a single UDP socket (or one in-process mesh) by the group-id frame
-// envelope from internal/wire.
+// Package topics is the live runtime: one group member hosting G≥1
+// independent urcgc groups in real time, over either the in-process mesh
+// (MultiCluster) or one UDP socket (MultiNode from NewMultiNode). Each
+// group is a full protocol entity — its own rotating coordinator, history
+// buffer and causal order — multiplexed onto the member's one transport by
+// the group-id frame envelope from internal/wire. Group 0's frames are
+// byte-identical to the envelope-free framing, so a single-group member is
+// simply G=1.
 //
 // The runtime is sharded: groups hash onto S shard loops, each shard a
 // goroutine owning its groups' core.Process instances, so G groups cost S
 // protocol goroutines rather than G and independent groups make progress
-// in parallel. One reader goroutine demultiplexes incoming frames onto the
-// shards; one sender goroutine coalesces outgoing datagrams from every
-// group into burst syscalls.
+// in parallel. Both backends share one egress (frame once, consult the
+// fault hook per destination, capture) and one ingress (validate, consult
+// the fault hook, decode, dispatch onto the owning shard); they differ
+// only in how a frame reaches a peer and in what drives the rounds.
 //
-// Demux ownership rule: the reader's receive buffer never crosses a
-// goroutine boundary. A frame is validated and decoded into a self-owned
-// PDU on the reader goroutine; only that PDU travels into a shard inbox.
-// Symmetrically, outgoing frames are pooled buffers owned by the shared
-// sender (refcounted across a broadcast fan-out) and return to the wire
-// pool after the last write.
+// Demux ownership rule: a received frame never crosses a goroutine
+// boundary. It is validated and decoded into a self-owned PDU on the
+// goroutine that received it; only that PDU travels into a shard inbox.
+// Symmetrically, outgoing frames are pooled buffers, refcounted across a
+// broadcast fan-out, that return to the wire pool after the last write.
 package topics
 
 import (
 	"context"
 	"fmt"
 	"log"
-	"net"
 	"runtime"
 	"strconv"
 	"sync"
@@ -41,68 +43,85 @@ import (
 	"urcgc/internal/wire"
 )
 
-// maxDatagram bounds datagrams in both directions, matching the
-// single-group UDP runtime so a mixed deployment agrees on the limit.
+// maxDatagram bounds frames in both directions on both backends.
 const maxDatagram = 64 * 1024
 
-// Config configures one member's multi-group runtime. The embedded
-// core.Config applies to every group; all groups share the member
-// identity, the peer set and the socket.
+// Config configures one member's runtime. The embedded core.Config applies
+// to every group; all groups share the member identity, the peer set and
+// the transport.
 type Config struct {
 	core.Config
 	// Groups is how many independent groups (ids 0..Groups-1) this member
-	// hosts. Group 0 is wire-compatible with single-group nodes. Default 1.
+	// hosts. Default 1.
 	Groups int
 	// Shards is how many shard loops carry the groups. Groups hash onto
 	// shards (group mod Shards); each shard is one goroutine owning its
 	// groups' protocol entities. Default min(Groups, GOMAXPROCS).
 	Shards int
-	// Self is this member's identity in every group.
+	// Self is this member's identity in every group. Ignored by the mesh,
+	// which builds members 0..N-1.
 	Self mid.ProcID
 	// Peers maps every ProcID to its UDP address; Peers[Self] is our bind
-	// address. Ignored by the in-process mesh.
+	// address. Ignored by the mesh.
 	Peers []string
 	// RoundDuration is the wall-clock round length, shared by all groups.
 	// Default 20ms over UDP, 2ms on the mesh.
 	RoundDuration time.Duration
-	// BatchWindow enables each group's coalescing sender, exactly as in
-	// the single-group runtimes. Zero disables coalescing.
+	// BatchWindow enables each group's coalescing sender: Sends arriving
+	// within this window (or until the BatchMax / BatchBytes budgets fill)
+	// enter the shard as one event and leave the next subrun as DataBatch
+	// frames. Zero disables coalescing.
 	BatchWindow time.Duration
 	// InboxDepth bounds each shard's event queue (default 4096). A full
 	// shard inbox drops datagrams — an omission the protocol repairs.
 	InboxDepth int
 	// IndicationDepth bounds each group's indication queue (default 1024).
 	IndicationDepth int
-	// TxDepth bounds the shared outgoing-datagram queue (default 4096).
+	// TxDepth bounds the UDP sender's outgoing-datagram queue (default 4096).
 	TxDepth int
 	// Metrics, when non-nil, receives per-group protocol series (each
-	// carrying node and group labels) plus shared socket accounting.
+	// carrying node and group labels) plus shared transport accounting.
 	Metrics *obs.Registry
 	// Lifecycle, when non-nil, enables per-MID span tracking on every
-	// group: each session gets its own group-tagged lifecycle.Tracer
-	// (reachable via Lifecycle/Lifecycles for /trace), with the watchdog
-	// Blame defaulting to naming the group and its shard. Nil keeps the
-	// hot path free of tracing branches.
+	// group: each session gets its own group-tagged lifecycle.Tracer. The
+	// watchdog Blame defaults to the fault hook's when Fault is set, else
+	// to naming the group and its shard. Nil keeps the hot path free of
+	// tracing branches.
 	Lifecycle *lifecycle.Options
-	// DropFrame, when non-nil, is consulted before every outgoing frame
-	// with (group, src, dst); returning true silently drops it. A test
-	// seam for partitioning individual groups (the chaos harness's
-	// group-partition soak); nil in production.
+	// Fault, when non-nil, consults a wall-clock fault injector at the
+	// member's transport boundary: once per frame and destination on
+	// egress, once per received frame on ingress, and once per round to
+	// fail-stop a scheduled crash of the member. Over UDP the hook sees
+	// only this member's boundary, so a cluster-wide schedule needs the
+	// same seeded schedule on every member. Nil costs one pointer check
+	// per frame.
+	Fault *faultrt.Hook
+	// DropFrame, when non-nil, is consulted with every outgoing frame's
+	// (group, src, dst); returning true drops it as an injected partition.
+	// A test seam for partitioning individual groups; nil in production.
 	DropFrame func(group uint32, src, dst mid.ProcID) bool
-	// Capture, when non-nil, records every frame crossing this member's
-	// shared socket — ingress with the demux verdict, egress with the
-	// send verdict, every group on the one ring (records carry the group
-	// id) — for /capture dumps and offline replay. Nil costs one pointer
-	// check per frame and zero allocations.
-	Capture *capture.Ring
+	// Captures holds one frame flight recorder per member, indexed by
+	// ProcID; a missing or nil entry records nothing. Each member records
+	// the frames crossing its own boundary on its own ring — egress with
+	// the send-side fault verdict, ingress with the demux or receive-side
+	// verdict, every group on the one ring — for /capture dumps and
+	// offline replay. A UDP member uses Captures[Self] only.
+	Captures []*capture.Ring
 	// Logf receives throttled operator-visible warnings; nil means
 	// log.Printf.
 	Logf func(format string, args ...any)
-	// Joined, when non-nil, fires on the owning shard goroutine each time a
-	// member started with Config.Join set is re-admitted into one hosted
-	// group. Groups rejoin independently — a restarted multi-group member
-	// is fully back only once every hosted group has fired.
-	Joined func(group uint32)
+	// JoinInstalled, when non-nil, fires on the owning shard goroutine the
+	// moment a joining incarnation installs the sponsor's state transfer
+	// in one group, before it processes anything there.
+	JoinInstalled func(node mid.ProcID, group uint32, stable mid.SeqVector)
+	// Joined, when non-nil, fires on the owning shard goroutine each time
+	// a joining member is re-admitted into one hosted group. Groups rejoin
+	// independently: a member is fully back once every group has fired.
+	Joined func(node mid.ProcID, group uint32)
+	// FastForwarded, when non-nil, fires on the owning shard goroutine when
+	// recovery tells a member that of's sequence through to was purged as
+	// uniformly stable, so its frontier skipped the gap.
+	FastForwarded func(node mid.ProcID, group uint32, of mid.ProcID, to mid.Seq)
 }
 
 func (c *Config) fill(mesh bool) {
@@ -152,8 +171,8 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Indication is one message processed in causal order, tagged with the
-// group that carried it.
+// Indication is the urcgc-data.Ind primitive: one message processed in
+// causal order, tagged with the group that carried it.
 type Indication struct {
 	Group uint32
 	Msg   causal.Message
@@ -161,21 +180,24 @@ type Indication struct {
 
 var errStopped = fmt.Errorf("topics: node stopped")
 
+// link carries one framed datagram to member dst: the mesh demultiplexes
+// it straight into the peer, UDP queues it on the shared sender. A link
+// that keeps the frame past the call takes its own reference on it.
+type link interface {
+	send(dst mid.ProcID, f *sharedFrame)
+}
+
 // MultiNode is one member of every hosted group: G protocol entities over
-// one socket, S shard loops, one reader, one shared sender.
+// one transport and S shard loops.
 type MultiNode struct {
 	cfg      Config
 	sessions []*session
 	shards   []*shard
-
-	// UDP mode; all nil on a mesh node.
-	conn  *net.UDPConn
-	peers []*net.UDPAddr
-	tx    *txSender
-
-	mesh *MultiCluster // set on mesh nodes only
-
-	mobs *multiObs
+	link     link
+	capture  *capture.Ring // nil disables frame capture
+	killed   atomic.Bool
+	mobs     *multiObs
+	udp      *udpBackend // nil on a mesh member
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -183,145 +205,43 @@ type MultiNode struct {
 	warnTh   obs.Throttle
 }
 
-// NewMultiNode binds the shared socket and prepares every group's protocol
-// entity. Start launches the runtime; Stop halts it.
-func NewMultiNode(cfg Config) (*MultiNode, error) {
-	cfg.fill(false)
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if len(cfg.Peers) != cfg.N {
-		return nil, fmt.Errorf("topics: %d peers for group of %d", len(cfg.Peers), cfg.N)
-	}
-	if cfg.Self < 0 || int(cfg.Self) >= cfg.N {
-		return nil, fmt.Errorf("topics: self %d outside group", cfg.Self)
-	}
-	m := newMultiNode(cfg)
-	m.peers = make([]*net.UDPAddr, cfg.N)
-	for i, p := range cfg.Peers {
-		addr, err := net.ResolveUDPAddr("udp", p)
-		if err != nil {
-			return nil, fmt.Errorf("topics: peer %d %q: %w", i, p, err)
-		}
-		m.peers[i] = addr
-	}
-	conn, err := net.ListenUDP("udp", m.peers[cfg.Self])
-	if err != nil {
-		return nil, fmt.Errorf("topics: bind %q: %w", cfg.Peers[cfg.Self], err)
-	}
-	m.conn = conn
-	m.tx = newTxSender(m)
-	if err := m.initSessions(func(s *session) core.Transport { return groupTransport{s} }); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return m, nil
-}
-
-func newMultiNode(cfg Config) *MultiNode {
+// newMultiNode prepares the member's shards and every group's protocol
+// entity; the caller supplies the backend's link.
+func newMultiNode(cfg Config, l link) (*MultiNode, error) {
 	m := &MultiNode{
 		cfg:    cfg,
+		link:   l,
 		stopCh: make(chan struct{}),
 		mobs:   newMultiObs(cfg.Metrics),
+	}
+	if int(cfg.Self) < len(cfg.Captures) {
+		m.capture = cfg.Captures[cfg.Self]
 	}
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
 		m.shards[i] = &shard{m: m, inbox: make(chan func(), cfg.InboxDepth)}
 	}
-	return m
-}
-
-// initSessions builds one protocol entity per group, each wired to its
-// shard and to the transport tp constructs for it.
-func (m *MultiNode) initSessions(tp func(*session) core.Transport) error {
-	m.sessions = make([]*session, m.cfg.Groups)
+	m.sessions = make([]*session, cfg.Groups)
 	for g := range m.sessions {
-		s := &session{
-			m:       m,
-			group:   uint32(g),
-			shard:   m.shards[g%len(m.shards)],
-			ind:     make(chan Indication, m.cfg.IndicationDepth),
-			waiters: make(map[mid.MID]chan struct{}),
-			obs:     rt.NewNodeObs(m.cfg.Metrics, m.cfg.Self, m.cfg.N, "group", strconv.Itoa(g)),
-			gobs:    newGroupObs(m.cfg.Metrics, m.cfg.Self, g),
-		}
-		if s.gobs != nil {
-			s.stableWait = make(map[mid.MID]time.Time)
-		}
-		if m.cfg.Lifecycle != nil {
-			opts := *m.cfg.Lifecycle
-			if opts.Blame == nil {
-				group, shardIdx, shards := g, g%len(m.shards), len(m.shards)
-				opts.Blame = func([]mid.MID) string {
-					return fmt.Sprintf("group %d on shard %d/%d", group, shardIdx, shards)
-				}
-			}
-			s.tracer = lifecycle.NewGroup(m.cfg.Self, m.cfg.N, s.group, opts, m.cfg.Metrics)
-		}
-		cb := core.Callbacks{
-			OnProcess: func(msg *causal.Message) {
-				s.processed.Add(1)
-				s.mu.Lock()
-				if ch, ok := s.waiters[msg.ID]; ok {
-					close(ch)
-					delete(s.waiters, msg.ID)
-				}
-				s.mu.Unlock()
-				select {
-				case s.ind <- Indication{Group: s.group, Msg: *msg}:
-				default: // slow consumer: indication dropped, like a full SAP queue
-					s.obs.IndicationDropped()
-				}
-			},
-			// Shard goroutine, like every core callback: settles the
-			// submit→stable histogram for our own newly stable messages.
-			OnStable: func(clean mid.SeqVector) {
-				s.settleStable(clean)
-			},
-			OnLeave: func(r core.LeaveReason) {
-				s.mu.Lock()
-				s.leftWith = &r
-				for _, ch := range s.waiters {
-					close(ch)
-				}
-				s.waiters = map[mid.MID]chan struct{}{}
-				s.mu.Unlock()
-				clear(s.stableWait)
-			},
-			OnJoined: func() {
-				if m.cfg.Joined != nil {
-					m.cfg.Joined(s.group)
-				}
-			},
-		}
-		proc, err := core.NewProcess(m.cfg.Self, m.cfg.Config, tp(s), rt.InstallLifecycle(s.tracer, s.obs.Install(cb)))
+		s, err := newSession(m, uint32(g))
 		if err != nil {
-			return fmt.Errorf("topics: group %d: %w", g, err)
-		}
-		s.proc = proc
-		s.obs.MarkJoining(m.cfg.Join)
-		if m.cfg.BatchWindow > 0 {
-			s.coal = rt.NewCoalescer(m.cfg.BatchWindow, m.cfg.BatchMax, m.cfg.BatchBytes,
-				s.shard.enqueueWait, s.submitNow, s.obs.Coalesced)
+			return nil, err
 		}
 		m.sessions[g] = s
 	}
-	return nil
+	return m, nil
 }
 
 // Start launches the shard loops and, over UDP, the reader, the round
-// clock and the shared sender. Mesh nodes are driven by their cluster.
+// clock and the shared sender. Mesh rounds are driven by the cluster.
 func (m *MultiNode) Start() {
 	for _, sh := range m.shards {
 		sh := sh
 		m.wg.Add(1)
 		go func() { defer m.wg.Done(); sh.loop() }()
 	}
-	if m.conn != nil {
-		m.wg.Add(3)
-		go func() { defer m.wg.Done(); m.reader() }()
-		go func() { defer m.wg.Done(); m.clock() }()
-		go func() { defer m.wg.Done(); m.tx.loop() }()
+	if m.udp != nil {
+		m.udp.start(m)
 	}
 }
 
@@ -330,8 +250,8 @@ func (m *MultiNode) Start() {
 func (m *MultiNode) Stop() {
 	m.stopOnce.Do(func() {
 		close(m.stopCh)
-		if m.conn != nil {
-			m.conn.Close()
+		if m.udp != nil {
+			m.udp.conn.Close()
 		}
 		for _, s := range m.sessions {
 			s.coal.Stop()
@@ -340,21 +260,23 @@ func (m *MultiNode) Stop() {
 	m.wg.Wait()
 }
 
+// ID returns this member's identity.
+func (m *MultiNode) ID() mid.ProcID { return m.cfg.Self }
+
 // Groups returns how many groups this member hosts.
 func (m *MultiNode) Groups() int { return len(m.sessions) }
 
 // Shards returns how many shard loops carry them.
 func (m *MultiNode) Shards() int { return len(m.shards) }
 
-// LocalAddr returns the bound UDP address (useful with port 0 in tests),
-// or nil on a mesh node or when the address is unavailable.
-func (m *MultiNode) LocalAddr() *net.UDPAddr {
-	if m.conn == nil {
-		return nil
-	}
-	addr, _ := m.conn.LocalAddr().(*net.UDPAddr)
-	return addr
-}
+// Kill fail-stops the member in every hosted group: from now on it neither
+// ticks, nor emits, nor absorbs frames, and its Sends fail — exactly a
+// crashed site. The rest of each group detects the silence and excludes it.
+func (m *MultiNode) Kill() { m.killed.Store(true) }
+
+// Killed reports whether the member was fail-stopped. Safe from any
+// goroutine.
+func (m *MultiNode) Killed() bool { return m.killed.Load() }
 
 func (m *MultiNode) session(group uint32) (*session, error) {
 	if int64(group) >= int64(len(m.sessions)) {
@@ -363,8 +285,9 @@ func (m *MultiNode) session(group uint32) (*session, error) {
 	return m.sessions[group], nil
 }
 
-// Send submits a payload on one group and blocks until it is processed
-// locally (the urcgc-data Rq/Conf pair), or the context ends.
+// Send implements the urcgc-data.Rq/Conf pair on one group: it submits the
+// payload with the given explicit dependencies and blocks until the
+// message is processed locally, or the context ends.
 func (m *MultiNode) Send(ctx context.Context, group uint32, payload []byte, deps mid.DepList) (mid.MID, error) {
 	s, err := m.session(group)
 	if err != nil {
@@ -403,8 +326,9 @@ func (m *MultiNode) Left(group uint32) (core.LeaveReason, bool) {
 	return s.left()
 }
 
-// Snapshot runs fn with safe access to one group's protocol entity, on the
-// shard goroutine that owns it.
+// Snapshot runs fn on the shard goroutine that owns one group's protocol
+// entity, and waits for it. Nothing reached through p may be retained
+// after fn returns without cloning; GroupStatus packages a cloned sample.
 func (m *MultiNode) Snapshot(ctx context.Context, group uint32, fn func(p *core.Process)) error {
 	s, err := m.session(group)
 	if err != nil {
@@ -428,33 +352,28 @@ func (m *MultiNode) Snapshot(ctx context.Context, group uint32, fn func(p *core.
 	}
 }
 
-// GroupStatus captures a race-free sample of one group's protocol state,
-// in the same shape the single-group runtimes serve.
+// GroupStatus captures a race-free sample of one group's protocol state.
 func (m *MultiNode) GroupStatus(ctx context.Context, group uint32) (rt.Status, error) {
 	var st rt.Status
 	err := m.Snapshot(ctx, group, func(p *core.Process) { st = rt.StatusOf(p) })
 	return st, err
 }
 
-// Status reports group 0 in the single-group shape, annotated with the
-// per-group processed counts and (on a multi-group member) one compact
-// GroupStatus per hosted group, so the /status endpoint keeps its shape
-// for single-group consumers while urcgc-inspect can judge view
-// divergence and progress skew per group.
+// Status reports group 0; a multi-group member annotates it with the
+// per-group processed counts and one compact GroupStatus per hosted group,
+// so urcgc-inspect can judge view divergence and progress skew per group.
 func (m *MultiNode) Status(ctx context.Context) (rt.Status, error) {
 	st, err := m.GroupStatus(ctx, 0)
-	if err != nil {
+	if err != nil || len(m.sessions) == 1 {
 		return st, err
 	}
 	st.GroupProcessed = m.GroupCounts()
-	if len(m.sessions) > 1 {
-		st.Groups = make([]rt.GroupStatus, len(m.sessions))
-		for g := range m.sessions {
-			gs := &st.Groups[g]
-			gid := uint32(g)
-			if err := m.Snapshot(ctx, gid, func(p *core.Process) { *gs = rt.GroupStatusOf(gid, p) }); err != nil {
-				return st, err
-			}
+	st.Groups = make([]rt.GroupStatus, len(m.sessions))
+	for g := range m.sessions {
+		gs := &st.Groups[g]
+		gid := uint32(g)
+		if err := m.Snapshot(ctx, gid, func(p *core.Process) { *gs = rt.GroupStatusOf(gid, p) }); err != nil {
+			return st, err
 		}
 	}
 	return st, nil
@@ -511,10 +430,17 @@ func (m *MultiNode) warnf(format string, args ...any) {
 // capNote renders the warn-line suffix joining a discard to its captured
 // frame; empty when capture is disabled.
 func (m *MultiNode) capNote(seq uint64) string {
-	if m.cfg.Capture == nil {
+	if m.capture == nil {
 		return ""
 	}
 	return fmt.Sprintf(" [capture #%d]", seq)
+}
+
+// crashCheck fail-stops the member once the fault hook schedules its crash.
+func (m *MultiNode) crashCheck() {
+	if m.cfg.Fault.Crashed(m.cfg.Self) {
+		m.Kill()
+	}
 }
 
 // shard is one loop goroutine owning the protocol entities of every group
@@ -548,9 +474,7 @@ func (sh *shard) enqueue(s *session, fn func()) bool {
 		if sh.m.mobs != nil {
 			sh.m.mobs.shardDrops.Inc()
 		}
-		if s.gobs != nil {
-			s.gobs.shardDrops.Inc()
-		}
+		s.obs.InboxDropped()
 		return false
 	}
 }
@@ -572,7 +496,7 @@ type session struct {
 	m      *MultiNode
 	group  uint32
 	shard  *shard
-	proc   *core.Process
+	proc   *core.Process // swapped by MultiCluster.Restart on the shard goroutine
 	obs    *rt.NodeObs
 	gobs   *groupObs         // nil when metrics are disabled
 	tracer *lifecycle.Tracer // nil unless Config.Lifecycle is set
@@ -592,11 +516,101 @@ type session struct {
 	leftWith *core.LeaveReason
 }
 
+func newSession(m *MultiNode, group uint32) (*session, error) {
+	cfg := &m.cfg
+	g := int(group)
+	s := &session{
+		m:       m,
+		group:   group,
+		shard:   m.shards[g%len(m.shards)],
+		ind:     make(chan Indication, cfg.IndicationDepth),
+		waiters: make(map[mid.MID]chan struct{}),
+		obs:     rt.NewNodeObs(cfg.Metrics, cfg.Self, cfg.N, g),
+		gobs:    newGroupObs(cfg.Metrics, cfg.Self, g),
+	}
+	if s.gobs != nil {
+		s.stableWait = make(map[mid.MID]time.Time)
+	}
+	if cfg.Lifecycle != nil {
+		opts := *cfg.Lifecycle
+		if opts.Blame == nil && cfg.Fault != nil {
+			opts.Blame = cfg.Fault.Blame
+		} else if opts.Blame == nil {
+			shardIdx, shards := g%len(m.shards), len(m.shards)
+			opts.Blame = func([]mid.MID) string {
+				return fmt.Sprintf("group %d on shard %d/%d", g, shardIdx, shards)
+			}
+		}
+		s.tracer = lifecycle.NewGroup(cfg.Self, cfg.N, group, opts, cfg.Metrics)
+	}
+	proc, err := s.newProc(cfg.Join)
+	if err != nil {
+		return nil, err
+	}
+	s.proc = proc
+	if cfg.BatchWindow > 0 {
+		s.coal = rt.NewCoalescer(cfg.BatchWindow, cfg.BatchMax, cfg.BatchBytes,
+			s.shard.enqueueWait, s.submitNow, s.obs.Coalesced)
+	}
+	return s, nil
+}
+
+// newProc builds a fresh protocol entity for this group, joining or
+// founding, with the session's callbacks, metrics and tracer installed.
+func (s *session) newProc(join bool) (*core.Process, error) {
+	cfg := s.m.cfg
+	node, group := cfg.Self, s.group
+	cb := core.Callbacks{
+		OnProcess: func(msg *causal.Message) {
+			s.processed.Add(1)
+			s.mu.Lock()
+			if ch, ok := s.waiters[msg.ID]; ok {
+				close(ch)
+				delete(s.waiters, msg.ID)
+			}
+			s.mu.Unlock()
+			select {
+			case s.ind <- Indication{Group: group, Msg: *msg}:
+			default: // slow consumer: indication dropped, like a full SAP queue
+				s.obs.IndicationDropped()
+			}
+		},
+		// Settles the submit→stable histogram for our own newly stable
+		// messages.
+		OnStable: s.settleStable,
+		OnLeave: func(r core.LeaveReason) {
+			s.mu.Lock()
+			s.leftWith = &r
+			for _, ch := range s.waiters {
+				close(ch)
+			}
+			s.waiters = map[mid.MID]chan struct{}{}
+			s.mu.Unlock()
+			clear(s.stableWait)
+		},
+	}
+	if f := cfg.JoinInstalled; f != nil {
+		cb.OnJoinInstalled = func(stable mid.SeqVector) { f(node, group, stable) }
+	}
+	if f := cfg.Joined; f != nil {
+		cb.OnJoined = func() { f(node, group) }
+	}
+	if f := cfg.FastForwarded; f != nil {
+		cb.OnFastForward = func(of mid.ProcID, to mid.Seq) { f(node, group, of, to) }
+	}
+	cfg.Config.Join = join
+	p, err := core.NewProcess(node, cfg.Config, groupTransport{s}, rt.InstallLifecycle(s.tracer, s.obs.Install(cb)))
+	if err != nil {
+		return nil, fmt.Errorf("topics: group %d: %w", group, err)
+	}
+	s.obs.MarkJoining(join)
+	return p, nil
+}
+
 // groupObs is one group's share of the runtime accounting the shared
-// multiObs counters cannot attribute: which group's shard inbox dropped,
-// which group's ticks were skipped, and the group's submit→stable latency.
+// multiObs counters cannot attribute: which group's ticks were skipped,
+// and the group's submit→stable latency.
 type groupObs struct {
-	shardDrops   *obs.Counter
 	ticksSkipped *obs.Counter
 	submitStable *obs.Histogram
 }
@@ -607,7 +621,6 @@ func newGroupObs(reg *obs.Registry, self mid.ProcID, group int) *groupObs {
 	}
 	kv := []string{"node", strconv.Itoa(int(self)), "group", strconv.Itoa(group)}
 	return &groupObs{
-		shardDrops:   reg.Counter(obs.Labeled("topics_shard_dropped_total", kv...)),
 		ticksSkipped: reg.Counter(obs.Labeled("topics_ticks_skipped_total", kv...)),
 		submitStable: reg.Histogram(obs.Labeled("topics_submit_to_stable_seconds", kv...), obs.DurationBuckets),
 	}
@@ -628,6 +641,16 @@ func (s *session) settleStable(clean mid.SeqVector) {
 	}
 }
 
+// tick hands round r to one group unless the member is fail-stopped.
+// Shard goroutine only.
+func (s *session) tick(r int) {
+	if s.m.Killed() {
+		return
+	}
+	s.obs.MarkRound(r)
+	s.proc.StartRound(r)
+}
+
 func (s *session) left() (core.LeaveReason, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -639,6 +662,10 @@ func (s *session) left() (core.LeaveReason, bool) {
 
 // submitNow runs one queued submission. Shard goroutine only.
 func (s *session) submitNow(sub *rt.Submission) {
+	if s.m.Killed() {
+		sub.Res <- rt.SubResult{Err: fmt.Errorf("topics: member %d is fail-stopped", s.m.cfg.Self)}
+		return
+	}
 	var id mid.MID
 	var err error
 	if sub.Causal {
@@ -657,6 +684,9 @@ func (s *session) submitNow(sub *rt.Submission) {
 	sub.Res <- rt.SubResult{ID: id, Err: err}
 }
 
+// unwait removes a registered confirm waiter, but only if it is still the
+// registered one, so a Send abandoned while its message is in flight does
+// not leak its map entry (OnProcess and OnLeave cover the other paths).
 func (s *session) unwait(id mid.MID, ch chan struct{}) {
 	s.mu.Lock()
 	if s.waiters[id] == ch {
@@ -706,64 +736,10 @@ func (s *session) send(ctx context.Context, payload []byte, deps mid.DepList, ca
 	return r.ID, nil
 }
 
-// clock drives every group's rounds off one free-running ticker (UDP mode;
-// the mesh cluster uses a lockstep barrier instead). A full shard inbox
-// skips that group's tick — an overload omission the protocol repairs.
-func (m *MultiNode) clock() {
-	t := time.NewTicker(m.cfg.RoundDuration)
-	defer t.Stop()
-	round := 0
-	for {
-		select {
-		case <-m.stopCh:
-			return
-		case <-t.C:
-			r := round
-			round++
-			for _, s := range m.sessions {
-				s := s
-				if !s.shard.enqueue(s, func() { s.obs.MarkRound(r); s.proc.StartRound(r) }) {
-					if m.mobs != nil {
-						m.mobs.ticksSkipped.Inc()
-					}
-					if s.gobs != nil {
-						s.gobs.ticksSkipped.Inc()
-					}
-					m.warnf("group %d round tick %d skipped: shard inbox full (overload omission)", s.group, r)
-				}
-			}
-		}
-	}
-}
-
-// reader is the single demultiplexing receiver: it owns the receive buffer
-// for the whole node and never lets it cross a goroutine boundary.
-func (m *MultiNode) reader() {
-	// One byte of slack past maxDatagram distinguishes an exactly-full
-	// datagram from one the kernel truncated to fit the buffer.
-	buf := make([]byte, maxDatagram+1)
-	for {
-		sz, _, err := m.conn.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-m.stopCh:
-				return
-			default:
-				if m.mobs != nil {
-					m.mobs.dropReadErr.Inc()
-				}
-				m.warnf("socket read error (datagram lost): %v", err)
-				continue
-			}
-		}
-		m.demux(buf[:sz])
-	}
-}
-
-// demux validates one envelope frame, decodes the PDU into self-owned
-// memory, and dispatches it onto the owning group's shard. pkt is read
-// only during the call; the caller may reuse it immediately after —
-// the demux ownership rule that keeps the reader single-buffered.
+// demux validates one envelope frame, consults the receive-side fault
+// verdict, decodes the PDU into self-owned memory and dispatches it onto
+// the owning group's shard. pkt is read only during the call; the caller
+// may reuse it immediately after — the demux ownership rule.
 func (m *MultiNode) demux(pkt []byte) {
 	if m.mobs != nil {
 		m.mobs.recvDatagrams.Inc()
@@ -773,7 +749,7 @@ func (m *MultiNode) demux(pkt []byte) {
 		if m.mobs != nil {
 			m.mobs.dropOversize.Inc()
 		}
-		seq := m.cfg.Capture.Record(capture.DirIngress, 0, mid.None, capture.DropOversize, 0, nil)
+		seq := m.capture.Record(capture.DirIngress, 0, mid.None, capture.DropOversize, 0, nil)
 		m.warnf("oversize datagram truncated past %d bytes: dropped%s", maxDatagram, m.capNote(seq))
 		return
 	}
@@ -782,7 +758,7 @@ func (m *MultiNode) demux(pkt []byte) {
 		if m.mobs != nil {
 			m.mobs.dropEnvelope.Inc()
 		}
-		seq := m.cfg.Capture.Record(capture.DirIngress, 0, mid.None, capture.DropShort, 0, pkt)
+		seq := m.capture.Record(capture.DirIngress, 0, mid.None, capture.DropShort, 0, pkt)
 		m.warnf("unparseable datagram (%d bytes): dropped%s", len(pkt), m.capNote(seq))
 		return
 	}
@@ -790,7 +766,7 @@ func (m *MultiNode) demux(pkt []byte) {
 		if m.mobs != nil {
 			m.mobs.dropGroup.Inc()
 		}
-		seq := m.cfg.Capture.Record(capture.DirIngress, group, src, capture.DropGroup, 0, body)
+		seq := m.capture.Record(capture.DirIngress, group, src, capture.DropGroup, 0, body)
 		m.warnf("datagram for unhosted group %d (hosting %d): dropped%s", group, len(m.sessions), m.capNote(seq))
 		return
 	}
@@ -798,8 +774,17 @@ func (m *MultiNode) demux(pkt []byte) {
 		if m.mobs != nil {
 			m.mobs.dropBadSrc.Inc()
 		}
-		seq := m.cfg.Capture.Record(capture.DirIngress, group, src, capture.DropBadSrc, 0, body)
+		seq := m.capture.Record(capture.DirIngress, group, src, capture.DropBadSrc, 0, body)
 		m.warnf("datagram claims member %d outside group of %d: dropped%s", src, m.cfg.N, m.capNote(seq))
+		return
+	}
+	act := m.cfg.Fault.Recv(src, m.cfg.Self)
+	if act.Drop || m.Killed() {
+		kinds := act.Kinds
+		if !act.Drop {
+			kinds = kinds.With(faultrt.KindCrash) // absorbed by a fail-stopped member
+		}
+		m.capture.Record(capture.DirIngress, group, src, capture.FaultDrop, kinds, body)
 		return
 	}
 	pdu, err := wire.Unmarshal(body)
@@ -807,21 +792,160 @@ func (m *MultiNode) demux(pkt []byte) {
 		if m.mobs != nil {
 			m.mobs.dropDecode.Inc()
 		}
-		seq := m.cfg.Capture.Record(capture.DirIngress, group, src, capture.DropDecode, 0, body)
+		seq := m.capture.Record(capture.DirIngress, group, src, capture.DropDecode, 0, body)
 		m.warnf("undecodable datagram for group %d: %v%s", group, err, m.capNote(seq))
 		return
 	}
 	s := m.sessions[group]
-	if s.shard.enqueue(s, func() { s.proc.Recv(src, pdu) }) {
-		m.cfg.Capture.Record(capture.DirIngress, group, src, capture.Delivered, 0, body)
-	} else {
-		seq := m.cfg.Capture.Record(capture.DirIngress, group, src, capture.DropInbox, 0, body)
+	v := capture.Delivered
+	if act.Faulty() {
+		v = m.deliverFaulty(s, src, pdu, body, act)
+	} else if !s.shard.enqueue(s, func() {
+		if !s.m.Killed() {
+			s.proc.Recv(src, pdu)
+		}
+	}) {
+		v = capture.DropInbox
+	}
+	seq := m.capture.Record(capture.DirIngress, group, src, v, act.Kinds, body)
+	if v == capture.DropInbox {
 		m.warnf("group %d: shard inbox full, datagram from member %d dropped (overload omission)%s", group, src, m.capNote(seq))
 	}
 }
 
-// multiObs is the shared (not per-group) accounting: socket traffic, demux
-// verdicts and sender behavior. Nil when metrics are disabled.
+// deliverFaulty dispatches a frame under an injected receive-side delay or
+// duplication and returns its capture verdict. Each duplicate decodes its
+// own self-owned PDU now, before the caller reuses body.
+func (m *MultiNode) deliverFaulty(s *session, src mid.ProcID, pdu wire.PDU, body []byte, act faultrt.Action) capture.Verdict {
+	pdus := []wire.PDU{pdu}
+	for i := 0; i < act.Dup; i++ {
+		if d, err := wire.Unmarshal(body); err == nil {
+			pdus = append(pdus, d)
+		}
+	}
+	recv := func() {
+		if m.Killed() {
+			return
+		}
+		for _, p := range pdus {
+			s.proc.Recv(src, p)
+		}
+	}
+	if act.Delay > 0 {
+		time.AfterFunc(act.Delay, func() { s.shard.enqueue(s, recv) })
+	} else if !s.shard.enqueue(s, recv) {
+		return capture.DropInbox
+	}
+	return capture.Classify(capture.Delivered, act)
+}
+
+// groupTransport is one group's core.Transport: it frames every PDU once
+// behind the group envelope and hands it to the member's egress. Runs on
+// the group's shard goroutine.
+type groupTransport struct{ s *session }
+
+func (t groupTransport) Send(dst mid.ProcID, pdu wire.PDU) {
+	m := t.s.m
+	if dst == m.cfg.Self || dst < 0 || int(dst) >= m.cfg.N {
+		return
+	}
+	t.s.emit(dst, pdu)
+}
+
+// Broadcast marshals the PDU exactly once; every destination shares the
+// same refcounted frame.
+func (t groupTransport) Broadcast(pdu wire.PDU) { t.s.emit(mid.None, pdu) }
+
+// emit frames pdu once and ships it to dst, or to every peer when dst is
+// mid.None. A fail-stopped member emits nothing.
+func (s *session) emit(dst mid.ProcID, pdu wire.PDU) {
+	m := s.m
+	if m.Killed() {
+		return
+	}
+	hdr := wire.EnvelopeSize(s.group)
+	buf := wire.AppendEnvelope(wire.GetBuf(hdr + pdu.EncodedSize())[:0], s.group, m.cfg.Self)
+	frame, err := wire.MarshalAppend(buf, pdu)
+	if err != nil || !m.checkSize(s.group, dst, frame, pdu) {
+		wire.PutBuf(frame)
+		return
+	}
+	f := &sharedFrame{buf: frame}
+	f.refs.Store(1) // emit's own hold, released after the fan-out
+	body := frame[hdr:]
+	if dst != mid.None {
+		m.ship(s.group, dst, f, body, true)
+	} else {
+		m.capture.Record(capture.DirEgress, s.group, mid.None, capture.Sent, 0, body)
+		for i := 0; i < m.cfg.N; i++ {
+			if q := mid.ProcID(i); q != m.cfg.Self {
+				m.ship(s.group, q, f, body, false)
+			}
+		}
+	}
+	f.release()
+}
+
+// ship sends one frame to dst under its send-side fault verdict, with
+// DropFrame folded in as an injected partition: a drop destroys the copy,
+// a delay holds it on a timer, duplication sends 1+Dup copies. A unicast
+// frame is captured under its verdict; a broadcast's clean copies share
+// the one record emit made, and only faulty ones get their own.
+func (m *MultiNode) ship(group uint32, dst mid.ProcID, f *sharedFrame, body []byte, unicast bool) {
+	act := m.cfg.Fault.Send(m.cfg.Self, dst)
+	if m.cfg.DropFrame != nil && m.cfg.DropFrame(group, m.cfg.Self, dst) {
+		act.Drop, act.Kinds = true, act.Kinds.With(faultrt.KindPartition)
+	}
+	if unicast || act.Faulty() {
+		m.capture.Record(capture.DirEgress, group, dst, capture.Classify(capture.Sent, act), act.Kinds, body)
+	}
+	switch {
+	case act.Drop:
+	case act.Delay > 0:
+		f.refs.Add(1)
+		dup := act.Dup
+		time.AfterFunc(act.Delay, func() {
+			for c := 0; c <= dup; c++ {
+				m.link.send(dst, f)
+			}
+			f.release()
+		})
+	default:
+		for c := 0; c <= act.Dup; c++ {
+			m.link.send(dst, f)
+		}
+	}
+}
+
+// checkSize rejects a frame no receiver would accept, at the sender where
+// the operator can act on it.
+func (m *MultiNode) checkSize(group uint32, dst mid.ProcID, frame []byte, pdu wire.PDU) bool {
+	if len(frame) <= maxDatagram {
+		return true
+	}
+	if m.mobs != nil {
+		m.mobs.txOversize.Inc()
+	}
+	seq := m.capture.Record(capture.DirEgress, group, dst, capture.DropOversize, 0, nil)
+	m.warnf("oversize %v frame (%d bytes > %d): dropped before send%s", pdu.Kind(), len(frame), maxDatagram, m.capNote(seq))
+	return false
+}
+
+// sharedFrame is a pooled wire buffer fanned out to several destinations:
+// the last reference released returns it to the pool.
+type sharedFrame struct {
+	buf  []byte
+	refs atomic.Int32
+}
+
+func (f *sharedFrame) release() {
+	if f.refs.Add(-1) == 0 {
+		wire.PutBuf(f.buf)
+	}
+}
+
+// multiObs is the shared (not per-group) accounting: transport traffic,
+// demux verdicts and sender behavior. Nil when metrics are disabled.
 type multiObs struct {
 	recvDatagrams *obs.Counter
 	recvBytes     *obs.Counter
@@ -863,226 +987,5 @@ func newMultiObs(reg *obs.Registry) *multiObs {
 		txDropped:     reg.Counter("topics_send_dropped_total"),
 		txBursts:      reg.Counter("topics_send_bursts_total"),
 		txOversize:    reg.Counter("topics_send_oversize_total"),
-	}
-}
-
-// checkSize rejects a frame no receiver would accept, at the sender where
-// the operator can act on it.
-func (m *MultiNode) checkSize(frame []byte, pdu wire.PDU) bool {
-	if len(frame) <= maxDatagram {
-		return true
-	}
-	if m.mobs != nil {
-		m.mobs.txOversize.Inc()
-	}
-	m.warnf("oversize %v frame (%d bytes > %d): dropped before send", pdu.Kind(), len(frame), maxDatagram)
-	return false
-}
-
-// groupTransport frames one group's PDUs with the group-id envelope and
-// hands them to the shared sender. Runs on the group's shard goroutine.
-type groupTransport struct{ s *session }
-
-// frame reserves the envelope up front in one pooled buffer so the PDU
-// marshals directly behind it. The sender owns the result until release.
-func (t groupTransport) frame(pdu wire.PDU) ([]byte, error) {
-	buf := wire.GetBuf(wire.EnvelopeSize(t.s.group) + pdu.EncodedSize())[:0]
-	buf = wire.AppendEnvelope(buf, t.s.group, t.s.m.cfg.Self)
-	return wire.MarshalAppend(buf, pdu)
-}
-
-func (t groupTransport) Send(dst mid.ProcID, pdu wire.PDU) {
-	m := t.s.m
-	if dst == m.cfg.Self || dst < 0 || int(dst) >= m.cfg.N {
-		return
-	}
-	frame, err := t.frame(pdu)
-	if err != nil || !m.checkSize(frame, pdu) {
-		if err == nil {
-			m.cfg.Capture.Record(capture.DirEgress, t.s.group, dst, capture.DropOversize, 0, nil)
-		}
-		wire.PutBuf(frame)
-		return
-	}
-	// DropFrame partitions individual groups in tests; the capture record
-	// charges the loss as an injected partition so replay can attribute it.
-	if m.cfg.DropFrame != nil && m.cfg.DropFrame(t.s.group, m.cfg.Self, dst) {
-		m.cfg.Capture.Record(capture.DirEgress, t.s.group, dst, capture.FaultDrop,
-			faultrt.KindSet(0).With(faultrt.KindPartition), t.body(frame))
-		wire.PutBuf(frame)
-		return
-	}
-	m.cfg.Capture.Record(capture.DirEgress, t.s.group, dst, capture.Sent, 0, t.body(frame))
-	m.tx.push(txPacket{dst: dst, frame: frame})
-}
-
-// body strips the group envelope off a framed datagram: capture records
-// store the PDU body only, with the envelope's group and peer as fields.
-func (t groupTransport) body(frame []byte) []byte {
-	return frame[wire.EnvelopeSize(t.s.group):]
-}
-
-// Broadcast marshals the PDU exactly once; every destination's packet
-// shares the same refcounted buffer, released after the last write.
-func (t groupTransport) Broadcast(pdu wire.PDU) {
-	m := t.s.m
-	frame, err := t.frame(pdu)
-	if err != nil || !m.checkSize(frame, pdu) {
-		if err == nil {
-			m.cfg.Capture.Record(capture.DirEgress, t.s.group, mid.None, capture.DropOversize, 0, nil)
-		}
-		wire.PutBuf(frame)
-		return
-	}
-	m.cfg.Capture.Record(capture.DirEgress, t.s.group, mid.None, capture.Sent, 0, t.body(frame))
-	sh := &sharedFrame{buf: frame}
-	sh.refs.Store(1) // the sender's own hold, released after the fan-out
-	for i := 0; i < m.cfg.N; i++ {
-		dst := mid.ProcID(i)
-		if dst == m.cfg.Self {
-			continue
-		}
-		if m.cfg.DropFrame != nil && m.cfg.DropFrame(t.s.group, m.cfg.Self, dst) {
-			m.cfg.Capture.Record(capture.DirEgress, t.s.group, dst, capture.FaultDrop,
-				faultrt.KindSet(0).With(faultrt.KindPartition), t.body(frame))
-			continue
-		}
-		sh.refs.Add(1)
-		m.tx.push(txPacket{dst: dst, frame: frame, sh: sh})
-	}
-	sh.release()
-}
-
-// sharedFrame is a pooled wire buffer fanned out to several destinations:
-// the last reference released returns it to the pool.
-type sharedFrame struct {
-	buf  []byte
-	refs atomic.Int32
-}
-
-func (s *sharedFrame) release() {
-	if s.refs.Add(-1) == 0 {
-		wire.PutBuf(s.buf)
-	}
-}
-
-// txPacket is one outgoing datagram in the shared sender's queue. A nil sh
-// means the queue owns frame outright; otherwise the packet holds one
-// reference on the shared buffer.
-type txPacket struct {
-	dst   mid.ProcID
-	frame []byte
-	sh    *sharedFrame
-}
-
-func (p txPacket) done() {
-	if p.sh != nil {
-		p.sh.release()
-	} else {
-		wire.PutBuf(p.frame)
-	}
-}
-
-// txBurstMax is how many queued datagrams one sendmmsg may carry. It also
-// bounds how much the shared sender drains per wakeup on the fallback path.
-const txBurstMax = 16
-
-// txSender is the shared outgoing path: every group's shard loops feed it
-// framed datagrams through one bounded queue, and it ships them in
-// mixed-group, mixed-destination sendmmsg bursts (single writes where the
-// platform or kernel lacks the syscall). A full queue drops the datagram —
-// an omission the protocol repairs — so shard loops never block on the
-// socket.
-type txSender struct {
-	m     *MultiNode
-	ch    chan txPacket
-	burst *txBurst // nil where sendmmsg is unavailable
-	batch []txPacket
-}
-
-func newTxSender(m *MultiNode) *txSender {
-	return &txSender{
-		m:     m,
-		ch:    make(chan txPacket, m.cfg.TxDepth),
-		burst: newTxBurst(m),
-		batch: make([]txPacket, 0, txBurstMax),
-	}
-}
-
-// push queues one datagram for the shared sender. Never blocks: a full
-// queue drops the datagram and releases its buffer.
-func (t *txSender) push(p txPacket) {
-	select {
-	case t.ch <- p:
-	default:
-		p.done()
-		if t.m.mobs != nil {
-			t.m.mobs.txDropped.Inc()
-		}
-	}
-}
-
-func (t *txSender) loop() {
-	for {
-		var p txPacket
-		select {
-		case <-t.m.stopCh:
-			t.drain()
-			return
-		case p = <-t.ch:
-		}
-		t.batch = append(t.batch[:0], p)
-	fill:
-		for len(t.batch) < txBurstMax {
-			select {
-			case q := <-t.ch:
-				t.batch = append(t.batch, q)
-			default:
-				break fill
-			}
-		}
-		t.ship(t.batch)
-	}
-}
-
-// ship writes one drained batch: a multi-destination sendmmsg burst when
-// available, per-datagram writes otherwise. Buffers release afterwards.
-func (t *txSender) ship(batch []txPacket) {
-	if !t.burst.send(t.m, batch) {
-		for _, p := range batch {
-			t.m.writeOne(p.dst, p.frame)
-		}
-	} else if t.m.mobs != nil {
-		t.m.mobs.txBursts.Inc()
-	}
-	for _, p := range batch {
-		p.done()
-	}
-}
-
-// drain releases whatever was still queued at shutdown.
-func (t *txSender) drain() {
-	for {
-		select {
-		case p := <-t.ch:
-			p.done()
-		default:
-			return
-		}
-	}
-}
-
-// writeOne ships one datagram with a classic write and accounts for it.
-func (m *MultiNode) writeOne(dst mid.ProcID, frame []byte) {
-	if _, err := m.conn.WriteToUDP(frame, m.peers[dst]); err != nil {
-		// Loss is an omission the protocol repairs; count it anyway.
-		if m.mobs != nil {
-			m.mobs.txErrors.Inc()
-		}
-		return
-	}
-	if m.mobs != nil {
-		m.mobs.txDatagrams.Inc()
-		m.mobs.txBytes.Add(int64(len(frame)))
 	}
 }

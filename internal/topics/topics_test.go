@@ -11,7 +11,6 @@ import (
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
-	"urcgc/internal/rt"
 )
 
 func freePorts(t *testing.T, n int) []string {
@@ -247,9 +246,9 @@ func TestUDPMultiGroupConverges(t *testing.T) {
 	}
 }
 
-// TestUDPInteropGroupZero pins the wire-compat acceptance: a MultiNode
-// hosting group 0 interoperates with single-group rt.UDPNodes in the same
-// group — PR-6 frames and multi-group frames are byte-identical there.
+// TestUDPInteropGroupZero pins the wire-compat acceptance: single-group
+// (G=1) members and a member hosting four groups interoperate in group 0 —
+// group-0 frames are byte-identical whatever the host's group count.
 func TestUDPInteropGroupZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and timers")
@@ -258,38 +257,40 @@ func TestUDPInteropGroupZero(t *testing.T) {
 	peers := freePorts(t, n)
 	base := core.Config{N: n, K: 5, R: 16, SelfExclusion: true}
 
-	legacy := make([]*rt.UDPNode, 2)
+	single := make([]*MultiNode, 2)
 	for i := 0; i < 2; i++ {
-		node, err := rt.NewUDPNode(rt.UDPConfig{
+		node, err := NewMultiNode(Config{
 			Config:        base,
 			Self:          mid.ProcID(i),
 			Peers:         peers,
 			RoundDuration: 3 * time.Millisecond,
 			BatchWindow:   2 * time.Millisecond,
+			Logf:          func(string, ...any) {},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy[i] = node
+		single[i] = node
 	}
 	multi, err := NewMultiNode(Config{
 		Config:        base,
-		Groups:        1,
-		Shards:        1,
+		Groups:        4,
+		Shards:        2,
 		Self:          2,
 		Peers:         peers,
 		RoundDuration: 3 * time.Millisecond,
 		BatchWindow:   2 * time.Millisecond,
+		Logf:          func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, node := range legacy {
+	for _, node := range single {
 		node.Start()
 	}
 	multi.Start()
 	defer func() {
-		for _, node := range legacy {
+		for _, node := range single {
 			node.Stop()
 		}
 		multi.Stop()
@@ -299,8 +300,8 @@ func TestUDPInteropGroupZero(t *testing.T) {
 	defer cancel()
 	const per = 4
 	for k := 0; k < per; k++ {
-		if _, err := legacy[0].Send(ctx, []byte(fmt.Sprintf("L%d", k)), nil); err != nil {
-			t.Fatalf("legacy send %d: %v", k, err)
+		if _, err := single[0].Send(ctx, 0, []byte(fmt.Sprintf("L%d", k)), nil); err != nil {
+			t.Fatalf("single send %d: %v", k, err)
 		}
 		if _, err := multi.Send(ctx, 0, []byte(fmt.Sprintf("M%d", k)), nil); err != nil {
 			t.Fatalf("multi send %d: %v", k, err)
@@ -309,37 +310,38 @@ func TestUDPInteropGroupZero(t *testing.T) {
 	want := mid.SeqVector{per, 0, per}
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		var legacyGot, multiGot mid.SeqVector
+		var singleGot, multiGot mid.SeqVector
 		sctx, scancel := context.WithTimeout(ctx, 2*time.Second)
-		err1 := legacy[1].Snapshot(sctx, func(p *core.Process) { legacyGot = p.Processed().Clone() })
+		err1 := single[1].Snapshot(sctx, 0, func(p *core.Process) { singleGot = p.Processed().Clone() })
 		err2 := multi.Snapshot(sctx, 0, func(p *core.Process) { multiGot = p.Processed().Clone() })
 		scancel()
-		if err1 == nil && err2 == nil && legacyGot.Equal(want) && multiGot.Equal(want) {
+		if err1 == nil && err2 == nil && singleGot.Equal(want) && multiGot.Equal(want) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("mixed legacy/multi group never converged: legacy=%v multi=%v want=%v",
-				legacyGot, multiGot, want)
+			t.Fatalf("mixed single/multi group never converged: single=%v multi=%v want=%v",
+				singleGot, multiGot, want)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 // TestLegacyNodeDropsGroupTaggedFrames pins graceful degradation in the
-// other direction: a single-group rt.UDPNode receiving a group-tagged
-// frame counts it as a drop instead of mis-decoding it.
+// other direction: a single-group (G=1) member receiving a frame for a
+// group it does not host counts it as a drop instead of mis-decoding it.
 func TestLegacyNodeDropsGroupTaggedFrames(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and timers")
 	}
 	reg := obs.New()
 	peers := freePorts(t, 2)
-	node, err := rt.NewUDPNode(rt.UDPConfig{
+	node, err := NewMultiNode(Config{
 		Config:        core.Config{N: 2, K: 100, R: 256, SelfExclusion: true},
 		Self:          0,
 		Peers:         peers,
 		RoundDuration: 3 * time.Millisecond,
 		Metrics:       reg,
+		Logf:          func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -361,14 +363,14 @@ func TestLegacyNodeDropsGroupTaggedFrames(t *testing.T) {
 	multi.Start()
 	defer multi.Stop()
 
-	// Group-1 traffic from the multi-group node reaches the legacy node's
+	// Group-1 traffic from the multi-group node reaches the single-group node's
 	// socket as group-tagged frames it must refuse.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// The group-1 peer never answers (the legacy node drops those
+		// The group-1 peer never answers (the single-group node drops those
 		// frames), so the confirm blocks until the context ends — the
 		// round ticks alone already broadcast group-tagged REQUESTs.
 		sctx, scancel := context.WithTimeout(ctx, 3*time.Second)
@@ -376,9 +378,9 @@ func TestLegacyNodeDropsGroupTaggedFrames(t *testing.T) {
 		multi.Send(sctx, 1, []byte("tagged"), nil)
 	}()
 	deadline := time.Now().Add(15 * time.Second)
-	for reg.Counter("udp_drop_badsrc_total").Value()+reg.Counter("udp_drop_short_total").Value() == 0 {
+	for reg.Counter("topics_drop_group_total").Value() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("legacy node never counted a dropped group-tagged frame")
+			t.Fatal("single-group node never counted a dropped group-tagged frame")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

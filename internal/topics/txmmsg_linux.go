@@ -8,10 +8,10 @@ import (
 )
 
 // Mixed-destination burst transmit via sendmmsg(2): one syscall ships a
-// whole drained batch of datagrams, each to its own destination — the
-// multi-group generalization of the single-group runtime's one-frame-to-
-// many-peers burst. Anything unusual (IPv6 peer, kernel without the
-// syscall, raw-conn failure) falls back to one write per datagram.
+// whole drained batch of datagrams, each to its own destination, straight
+// from the syscall package — no cgo. Anything unusual (IPv6 peer, kernel
+// without the syscall, raw-conn failure) falls back to one write per
+// datagram.
 
 // mmsghdr mirrors the kernel's struct mmsghdr: a msghdr plus the
 // kernel-written datagram length. Go's natural alignment reproduces the
@@ -19,6 +19,14 @@ import (
 type mmsghdr struct {
 	hdr syscall.Msghdr
 	len uint32
+}
+
+// sendmmsgRaw is the raw burst syscall behind one seam, so the
+// runtime-fallback test can make a kernel that built the burst path refuse
+// it afterwards (ENOSYS). Replaced only in tests, before any member starts.
+var sendmmsgRaw = func(fd uintptr, hdrs *mmsghdr, n int) (uintptr, syscall.Errno) {
+	r, _, errno := syscall.Syscall6(sysSENDMMSG, fd, uintptr(unsafe.Pointer(hdrs)), uintptr(n), 0, 0, 0)
+	return r, errno
 }
 
 // txBurst ships one mixed batch per sendmmsg. Owned by the shared sender
@@ -33,16 +41,13 @@ type txBurst struct {
 
 // newTxBurst returns nil when the burst path cannot be used, which the
 // sender treats as "one WriteToUDP per datagram".
-func newTxBurst(m *MultiNode) *txBurst {
-	if m.conn == nil {
-		return nil
-	}
-	rc, err := m.conn.SyscallConn()
+func newTxBurst(u *udpBackend) *txBurst {
+	rc, err := u.conn.SyscallConn()
 	if err != nil {
 		return nil
 	}
-	sas := make([]syscall.RawSockaddrInet4, len(m.peers))
-	for i, a := range m.peers {
+	sas := make([]syscall.RawSockaddrInet4, len(u.peers))
+	for i, a := range u.peers {
 		ip4 := a.IP.To4()
 		if ip4 == nil {
 			return nil // IPv6 peer: classic path
@@ -65,9 +70,10 @@ func (b *txBurst) send(m *MultiNode, batch []txPacket) bool {
 	}
 	bytes := 0
 	for i, p := range batch {
-		bytes += len(p.frame)
-		b.iovs[i].Base = &p.frame[0]
-		b.iovs[i].SetLen(len(p.frame))
+		frame := p.f.buf
+		bytes += len(frame)
+		b.iovs[i].Base = &frame[0]
+		b.iovs[i].SetLen(len(frame))
 		b.hdrs[i] = mmsghdr{hdr: syscall.Msghdr{
 			Name:    (*byte)(unsafe.Pointer(&b.sas[p.dst])),
 			Namelen: syscall.SizeofSockaddrInet4,
@@ -78,8 +84,7 @@ func (b *txBurst) send(m *MultiNode, batch []txPacket) bool {
 	sent, errs, fellBack := 0, 0, false
 	werr := b.rc.Write(func(fd uintptr) bool {
 		for sent < len(batch) {
-			r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&b.hdrs[sent])), uintptr(len(batch)-sent), 0, 0, 0)
+			r, errno := sendmmsgRaw(fd, &b.hdrs[sent], len(batch)-sent)
 			switch errno {
 			case 0:
 				sent += int(r)

@@ -6,6 +6,6 @@ package topics
 // sender writes one datagram per syscall instead.
 type txBurst struct{}
 
-func newTxBurst(m *MultiNode) *txBurst { return nil }
+func newTxBurst(u *udpBackend) *txBurst { return nil }
 
 func (b *txBurst) send(m *MultiNode, batch []txPacket) bool { return false }
