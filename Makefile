@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-diff bench-smoke bench-throughput bench-groups chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke clean
+.PHONY: all build test race vet check bench bench-diff bench-smoke bench-throughput bench-groups chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke perfbench-build clean
 
 all: check
 
@@ -14,7 +14,7 @@ vet:
 	$(GO) vet ./...
 
 # race runs the concurrency-sensitive packages under the race detector:
-# the live runtime (shard loops, shared-socket demux, the burst sender,
+# the live runtime (the protocol loop, shared-socket demux, the burst sender,
 # Status/Snapshot sampling; rt's tests drive it as a single-group member),
 # the protocol core it drives, the flight recorder and health evaluator
 # (sampler goroutine vs concurrent readers), the cluster inspector
@@ -22,7 +22,7 @@ vet:
 # (parallel /trace collection), and the fault injection layer whose
 # checker audits invariants across restarts (the rt and core lists include
 # the join/state-transfer paths: MultiCluster.Restart swaps each group's
-# process on its shard goroutine while Status/Send race it).
+# process on its protocol loop while Status/Send race it).
 race:
 	$(GO) test -race ./internal/rt/... ./internal/topics/... ./internal/core/... ./internal/obs/... ./internal/health/... ./internal/inspect/... ./internal/stitch/... ./internal/faultrt/...
 
@@ -32,8 +32,18 @@ race:
 # upholds the uniform invariants under the race detector, and a live
 # three-member cluster inspects healthy end to end through the real
 # binaries — including the forensic pipeline: capture dumps from real
-# nodes must replay offline to a clean verdict.
-check: vet test race bench-smoke bench-throughput bench-groups chaos-smoke inspect-smoke trace-smoke join-smoke capture-smoke
+# nodes must replay offline to a clean verdict. Last, the benchmark module
+# must still build and pass its own tests against this tree.
+check: vet test race bench-smoke bench-throughput bench-groups chaos-smoke inspect-smoke trace-smoke join-smoke capture-smoke perfbench-build
+
+# perfbench-build vets and tests the benchmark module (perfbench/, its own
+# go.mod resolving urcgc from this tree) with the offline settings
+# perfbench/run.sh builds it with, so a change to the public surface it
+# uses (wire, core, topics, faultrt) fails here rather than at benchmark
+# time.
+perfbench-build:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./...
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) test -count 1 ./...
 
 # inspect-smoke boots three urcgc-node processes, points urcgc-inspect at
 # their observability endpoints, and requires a healthy one-shot verdict —
@@ -113,9 +123,9 @@ bench-smoke:
 bench-throughput:
 	$(GO) test -bench 'BenchmarkThroughputSaturation' -benchtime 500ms -run '^$$' .
 
-# bench-groups is the sharded multi-group smoke: two groups over two shard
-# loops must sustain at least 1.5x the single-group aggregate msgs/s, or
-# the runtime has regressed into serializing its groups. Full-length
+# bench-groups is the multi-group smoke: two groups on each member's one
+# protocol loop must sustain at least 1.5x the single-group aggregate
+# msgs/s, or the runtime has regressed into serializing its groups. Full-length
 # scaling points (1/2/4/8 groups) are recorded by `make bench` into
 # BENCH_BASELINE.json under the GroupScaling family.
 bench-groups:

@@ -65,13 +65,12 @@ func BenchmarkThroughputSaturationN5B8(b *testing.B)  { benchsuite.ThroughputSat
 func BenchmarkThroughputSaturationN5B32(b *testing.B) { benchsuite.ThroughputSaturationN5B32(b) }
 func BenchmarkThroughputSaturationN9B32(b *testing.B) { benchsuite.ThroughputSaturationN9B32(b) }
 
-// ---- Group scaling: aggregate msgs/sec x groups x shards ----
+// ---- Group scaling: aggregate msgs/sec x groups ----
 
-func BenchmarkGroupScalingG1S1(b *testing.B) { benchsuite.GroupScalingG1S1(b) }
-func BenchmarkGroupScalingG2S2(b *testing.B) { benchsuite.GroupScalingG2S2(b) }
-func BenchmarkGroupScalingG4S4(b *testing.B) { benchsuite.GroupScalingG4S4(b) }
-func BenchmarkGroupScalingG8S8(b *testing.B) { benchsuite.GroupScalingG8S8(b) }
-func BenchmarkGroupScalingG8S1(b *testing.B) { benchsuite.GroupScalingG8S1(b) }
+func BenchmarkGroupScalingG1(b *testing.B) { benchsuite.GroupScalingG1(b) }
+func BenchmarkGroupScalingG2(b *testing.B) { benchsuite.GroupScalingG2(b) }
+func BenchmarkGroupScalingG4(b *testing.B) { benchsuite.GroupScalingG4(b) }
+func BenchmarkGroupScalingG8(b *testing.B) { benchsuite.GroupScalingG8(b) }
 
 // ---- Ablations ----
 
@@ -89,7 +88,7 @@ func BenchmarkAblationTransportH(b *testing.B) {
 					Seed:       int64(i) + 11,
 					TransportH: h,
 					Injector: fault.During{
-						From: 0, To: 12 * sim.TicksPerRTD,
+						From: 0, To: fault.Time(12 * sim.TicksPerRTD),
 						Inner: fault.NewRate(0.04, fault.AtSend, int64(i)+77),
 					},
 				})
@@ -145,7 +144,7 @@ func BenchmarkAblationFlowControl(b *testing.B) {
 						N: 10, K: 5, R: 12, HistoryThreshold: threshold, SelfExclusion: true,
 					},
 					Seed:     int64(i) + 3,
-					Injector: fault.Crash{Proc: 9, At: 2 * sim.TicksPerRTD},
+					Injector: fault.Crash{Proc: 9, At: fault.Time(2 * sim.TicksPerRTD)},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -184,7 +183,7 @@ func BenchmarkAblationCausalLabelling(b *testing.B) {
 					Config: core.Config{N: 8, K: 3, R: 8, SelfExclusion: true},
 					Seed:   int64(i) + 5,
 					Injector: fault.During{
-						From: 0, To: 20 * sim.TicksPerRTD,
+						From: 0, To: fault.Time(20 * sim.TicksPerRTD),
 						Inner: &fault.EveryNth{N: 150, Side: fault.AtSend},
 					},
 				})

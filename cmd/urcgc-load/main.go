@@ -1,15 +1,19 @@
-// Command urcgc-load drives a sharded multi-group cluster to saturation and
+// Command urcgc-load drives a multi-group cluster to saturation and
 // reports what it sustained. It hosts the cluster itself — either over real
 // loopback UDP sockets (the default, exercising the shared-socket demux and
 // sendmmsg burst path) or over the in-process mesh (-mesh, protocol-only) —
 // then fans thousands of concurrent client sessions across the groups. Each
 // session loops: pick its group, Send, wait for the local confirm, record
-// the latency. On exit it prints aggregate confirmed msgs/s plus the
-// p50/p95/p99 confirm-latency quantiles; -json emits the same results as
-// one machine-readable object instead, so load runs can be diffed across
-// changes like BENCH_BASELINE.json.
+// the latency. A session stops at a terminal error (its member stopped,
+// fail-stopped or left the group) rather than retrying it. On exit it
+// prints aggregate confirmed msgs/s plus the p50/p95/p99 confirm-latency
+// quantiles, the failed sends by error type and how many members dropped
+// out of a group; -json emits the same results as one machine-readable
+// object instead, so load runs can be diffed across changes like
+// BENCH_BASELINE.json. A run whose membership shrank exits 1: its
+// throughput was confirmed by a collapsed group, not the one asked for.
 //
-//	urcgc-load -n 3 -groups 8 -shards 8 -sessions 2000 -duration 10s
+//	urcgc-load -n 3 -groups 8 -sessions 2000 -duration 10s
 //
 // The tool is the load half of the observability story: point urcgc-inspect
 // or curl at the -metrics listener of any member while it runs to watch the
@@ -19,6 +23,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -40,7 +45,6 @@ func main() {
 	var (
 		n        = flag.Int("n", 3, "members in the cluster")
 		groups   = flag.Int("groups", 8, "independent groups multiplexed over the shared transport")
-		shards   = flag.Int("shards", 0, "protocol shard loops per member (0 = min(groups, GOMAXPROCS))")
 		sessions = flag.Int("sessions", 1000, "concurrent client sessions fanned across groups and members")
 		duration = flag.Duration("duration", 10*time.Second, "how long to drive load")
 		k        = flag.Int("k", 3, "K parameter")
@@ -68,7 +72,6 @@ func main() {
 			BatchMax: core.DefaultBatchMax,
 		},
 		Groups:        *groups,
-		Shards:        *shards,
 		RoundDuration: *round,
 		BatchWindow:   *batchWin,
 		Logf:          logf,
@@ -95,8 +98,8 @@ func main() {
 	if *mesh {
 		transport = "mesh"
 	}
-	fmt.Fprintf(progress(*asJSON), "cluster up: n=%d groups=%d shards=%d transport=%s round=%v batch-window=%v\n",
-		*n, *groups, nodes[0].Shards(), transport, *round, *batchWin)
+	fmt.Fprintf(progress(*asJSON), "cluster up: n=%d groups=%d transport=%s round=%v batch-window=%v\n",
+		*n, *groups, transport, *round, *batchWin)
 	fmt.Fprintf(progress(*asJSON), "driving %d sessions for %v...\n", *sessions, *duration)
 
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)
@@ -105,6 +108,7 @@ func main() {
 	var (
 		confirmed atomic.Int64
 		failed    atomic.Int64
+		errCounts [len(errTypes)]atomic.Int64
 		wg        sync.WaitGroup
 	)
 	body := make([]byte, *payload)
@@ -123,8 +127,14 @@ func main() {
 				t0 := time.Now()
 				_, err := nodes[member].Send(ctx, g, body, nil)
 				if err != nil {
-					if ctx.Err() == nil {
-						failed.Add(1)
+					if ctx.Err() != nil {
+						return
+					}
+					failed.Add(1)
+					i := errType(err)
+					errCounts[i].Add(1)
+					if errTypes[i].err != nil {
+						return // terminal: retrying would only spin
 					}
 					continue
 				}
@@ -144,16 +154,20 @@ func main() {
 
 	total := confirmed.Load()
 	res := loadResult{
-		N:           *n,
-		Groups:      *groups,
-		Shards:      nodes[0].Shards(),
-		Sessions:    *sessions,
-		Transport:   transport,
-		ElapsedMs:   float64(elapsed.Nanoseconds()) / 1e6,
-		Confirmed:   total,
-		Failed:      failed.Load(),
-		MsgsPerSec:  float64(total) / elapsed.Seconds(),
-		GroupCounts: nodes[0].GroupCounts(),
+		N:            *n,
+		Groups:       *groups,
+		Sessions:     *sessions,
+		Transport:    transport,
+		ElapsedMs:    float64(elapsed.Nanoseconds()) / 1e6,
+		Confirmed:    total,
+		Failed:       failed.Load(),
+		ErrorsByType: make(map[string]int64, len(errTypes)),
+		MembersLeft:  membersLeft(nodes, *groups),
+		MsgsPerSec:   float64(total) / elapsed.Seconds(),
+		GroupCounts:  nodes[0].GroupCounts(),
+	}
+	for i, t := range errTypes {
+		res.ErrorsByType[t.name] = errCounts[i].Load()
 	}
 	if len(all) > 0 {
 		res.P50Ms = ms(quantile(all, 0.50))
@@ -169,14 +183,33 @@ func main() {
 			fmt.Fprintln(os.Stderr, "urcgc-load:", err)
 			os.Exit(1)
 		}
-		return
+	} else {
+		printResult(res, all, elapsed)
 	}
+	if res.MembersLeft > 0 {
+		fmt.Fprintf(os.Stderr, "urcgc-load: membership shrank: %d of %d members dropped out of a group during the run\n",
+			res.MembersLeft, res.N)
+		stop()
+		os.Exit(1)
+	}
+}
+
+// printResult renders the human-readable summary.
+func printResult(res loadResult, all []time.Duration, elapsed time.Duration) {
+	total := res.Confirmed
 
 	fmt.Printf("\n--- urcgc-load results ---\n")
 	fmt.Printf("confirmed   %d msgs in %v\n", total, elapsed.Round(time.Millisecond))
-	fmt.Printf("aggregate   %.0f msgs/s across %d groups\n", res.MsgsPerSec, *groups)
+	fmt.Printf("aggregate   %.0f msgs/s across %d groups\n", res.MsgsPerSec, res.Groups)
 	if res.Failed > 0 {
-		fmt.Printf("failed      %d sends\n", res.Failed)
+		fmt.Printf("failed      %d sends:", res.Failed)
+		for _, t := range errTypes {
+			fmt.Printf(" %s=%d", t.name, res.ErrorsByType[t.name])
+		}
+		fmt.Println()
+	}
+	if res.MembersLeft > 0 {
+		fmt.Printf("members left %d of %d\n", res.MembersLeft, res.N)
 	}
 	if len(all) > 0 {
 		fmt.Printf("confirm latency  p50 %v  p95 %v  p99 %v  max %v\n",
@@ -193,20 +226,81 @@ func main() {
 // cleanly across changes, BENCH_BASELINE.json style. Latencies are
 // milliseconds to match the baseline file's convention.
 type loadResult struct {
-	N           int     `json:"n"`
-	Groups      int     `json:"groups"`
-	Shards      int     `json:"shards"`
-	Sessions    int     `json:"sessions"`
-	Transport   string  `json:"transport"`
-	ElapsedMs   float64 `json:"elapsed_ms"`
-	Confirmed   int64   `json:"confirmed"`
-	Failed      int64   `json:"failed"`
+	N         int     `json:"n"`
+	Groups    int     `json:"groups"`
+	Sessions  int     `json:"sessions"`
+	Transport string  `json:"transport"`
+	ElapsedMs float64 `json:"elapsed_ms"`
+	Confirmed int64   `json:"confirmed"`
+	Failed    int64   `json:"failed"`
+	// ErrorsByType splits Failed by error: stopped, killed and left are
+	// terminal (the session stopped there), other is retried.
+	ErrorsByType map[string]int64 `json:"errors_by_type"`
+	// MembersLeft counts the members that dropped out of at least one
+	// group: self-excluded, fail-stopped, or excluded from a running
+	// member's view. Nonzero makes the command exit 1.
+	MembersLeft int     `json:"members_left"`
 	MsgsPerSec  float64 `json:"msgs_per_sec"`
 	P50Ms       float64 `json:"p50_ms"`
 	P95Ms       float64 `json:"p95_ms"`
 	P99Ms       float64 `json:"p99_ms"`
 	MaxMs       float64 `json:"max_ms"`
 	GroupCounts []int64 `json:"group_counts_member0"`
+}
+
+// errTypes names the Send errors a session can meet; the terminal ones
+// carry their sentinel, and the last entry catches everything else.
+var errTypes = [...]struct {
+	name string
+	err  error
+}{
+	{"stopped", topics.ErrStopped},
+	{"killed", topics.ErrKilled},
+	{"left", topics.ErrLeft},
+	{"other", nil},
+}
+
+// errType returns err's index in errTypes.
+func errType(err error) int {
+	for i, t := range errTypes {
+		if t.err != nil && errors.Is(err, t.err) {
+			return i
+		}
+	}
+	return len(errTypes) - 1
+}
+
+// membersLeft counts the members that dropped out of at least one group
+// during the run: those that left it or were fail-stopped, and those a
+// member still running the group no longer holds alive in its view.
+func membersLeft(nodes []*topics.MultiNode, groups int) int {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	gone := make([]bool, len(nodes))
+	for i, n := range nodes {
+		for g := uint32(0); g < uint32(groups); g++ {
+			if _, left := n.Left(g); left || n.Killed() {
+				gone[i] = true
+				continue
+			}
+			st, err := n.GroupStatus(ctx, g)
+			if err != nil {
+				continue
+			}
+			for q, alive := range st.Alive {
+				if !alive && q < len(gone) {
+					gone[q] = true
+				}
+			}
+		}
+	}
+	count := 0
+	for _, g := range gone {
+		if g {
+			count++
+		}
+	}
+	return count
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

@@ -16,7 +16,7 @@
 // accepts new submissions. This is the recovery path after the suicide
 // rule (or a crash) took the member out: leave, restart, rejoin.
 //
-// With -groups G (and optionally -shards S) the member hosts G independent
+// With -groups G the member hosts G independent
 // groups over the same socket — the default G=1 is simply the one-group
 // case of the same runtime: stdin lines go to group 0 unless prefixed
 // "<g>:", chatter rotates across groups, printed messages carry a [gN]
@@ -79,7 +79,6 @@ func main() {
 		k         = flag.Int("k", 3, "K parameter")
 		join      = flag.Bool("join", false, "rejoin a running group: state-transfer from a live member instead of starting fresh (use when restarting a member of a live cluster)")
 		groups    = flag.Int("groups", 1, "independent groups hosted over this member's socket")
-		shards    = flag.Int("shards", 0, "protocol shard loops carrying the groups (0 = min(groups, GOMAXPROCS))")
 		round     = flag.Duration("round", 20*time.Millisecond, "round duration")
 		chatter   = flag.Duration("chatter", 0, "generate a synthetic message this often (0 = stdin only)")
 		metrics   = flag.String("metrics", "127.0.0.1:0", "HTTP address for /metrics, /status, /healthz, /timeseries, /events, /trace and /debug/* (empty disables)")
@@ -129,7 +128,6 @@ func main() {
 	node, err := topics.NewMultiNode(topics.Config{
 		Config:        cfg,
 		Groups:        *groups,
-		Shards:        *shards,
 		Self:          mid.ProcID(*self),
 		Peers:         addrs,
 		RoundDuration: *round,
@@ -152,8 +150,8 @@ func main() {
 	if *join {
 		joining = ", rejoining"
 	}
-	fmt.Printf("member %d of %d up at %s (round %v, groups=%d shards=%d%s)\n",
-		*self, len(addrs), node.LocalAddr(), *round, *groups, node.Shards(), joining)
+	fmt.Printf("member %d of %d up at %s (round %v, groups=%d%s)\n",
+		*self, len(addrs), node.LocalAddr(), *round, *groups, joining)
 
 	var flight *obs.Flight
 	if *metrics != "" {

@@ -154,13 +154,13 @@ func buildInjector(crash string, omit, omitUntil int, partition string) (fault.I
 			if err != nil {
 				return nil, fmt.Errorf("bad crash subrun %q: %v", bits[1], err)
 			}
-			inj = append(inj, fault.Crash{Proc: mid.ProcID(proc), At: sim.StartOfSubrun(at)})
+			inj = append(inj, fault.Crash{Proc: mid.ProcID(proc), At: fault.Time(sim.StartOfSubrun(at))})
 		}
 	}
 	if omit > 0 {
 		var om fault.Injector = &fault.EveryNth{N: omit, Side: fault.AtSend}
 		if omitUntil > 0 {
-			om = fault.During{From: 0, To: sim.Time(omitUntil) * sim.TicksPerRTD, Inner: om}
+			om = fault.During{From: 0, To: fault.Time(sim.Time(omitUntil) * sim.TicksPerRTD), Inner: om}
 		}
 		inj = append(inj, om)
 	}
@@ -205,8 +205,8 @@ func parsePartition(spec string) (fault.Partition, error) {
 		return fault.Partition{}, err
 	}
 	return fault.Partition{
-		From:  sim.StartOfSubrun(from),
-		To:    sim.StartOfSubrun(to),
+		From:  fault.Time(sim.StartOfSubrun(from)),
+		To:    fault.Time(sim.StartOfSubrun(to)),
 		SideA: side,
 	}, nil
 }

@@ -35,11 +35,11 @@ func main() {
 	inj := fault.Multi{
 		// All of p0's sends in subrun 0 vanish (that is where p0#1 goes).
 		fault.During{
-			From: 0, To: sim.StartOfSubrun(1),
+			From: 0, To: fault.Time(sim.StartOfSubrun(1)),
 			Inner: fault.OnlyProc{Proc: 0, Inner: &fault.EveryNth{N: 1, Side: fault.AtSend}},
 		},
 		// p0 crashes shortly after broadcasting p0#2.
-		fault.Crash{Proc: 0, At: sim.StartOfRound(2) + 400},
+		fault.Crash{Proc: 0, At: fault.Time(sim.StartOfRound(2) + 400)},
 	}
 	c, err := core.NewCluster(core.ClusterConfig{
 		Config:   core.Config{N: 5, K: 2, R: 8, SelfExclusion: true},

@@ -29,7 +29,7 @@ func main() {
 	cluster, err := core.NewCluster(core.ClusterConfig{
 		Config:   core.Config{N: servers, K: 3, R: 8, SelfExclusion: true},
 		Seed:     7,
-		Injector: fault.Crash{Proc: 4, At: sim.StartOfSubrun(6)},
+		Injector: fault.Crash{Proc: 4, At: fault.Time(sim.StartOfSubrun(6))},
 	})
 	if err != nil {
 		log.Fatal(err)

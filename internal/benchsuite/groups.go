@@ -13,21 +13,20 @@ import (
 	"urcgc/internal/topics"
 )
 
-// ---- Group scaling: aggregate msgs/s x groups x shards ----
+// ---- Group scaling: aggregate msgs/s x groups ----
 
 // benchGroupScaling saturates a multi-group mesh cluster and reports the
 // aggregate confirmed rate across every group. Each group's throughput is
 // round-pacing-bound (confirm latency is one or two subruns), so hosting G
-// independent groups over S shard loops multiplies the aggregate even on
-// one core — the sharded runtime's whole point. Workers spread across
-// groups and members; the iteration budget is shared, so msgs/s is the
-// true aggregate.
-func benchGroupScaling(b *testing.B, groups, shards int) {
+// independent groups on each member's one protocol loop multiplies the
+// aggregate even on one core — Little's law, not parallelism. Workers
+// spread across groups and members; the iteration budget is shared, so
+// msgs/s is the true aggregate.
+func benchGroupScaling(b *testing.B, groups int) {
 	const n = 3
 	c, err := topics.NewMultiCluster(topics.Config{
 		Config:        core.Config{N: n, K: 3, R: 8, BatchMax: 64, SelfExclusion: true},
 		Groups:        groups,
-		Shards:        shards,
 		RoundDuration: 500 * time.Microsecond,
 		BatchWindow:   200 * time.Microsecond,
 	})
@@ -40,7 +39,7 @@ func benchGroupScaling(b *testing.B, groups, shards int) {
 	defer cancel()
 	payload := make([]byte, 64)
 	// Enough in-flight senders per group to fill its subrun drains without
-	// flooding the shared shards when G is large.
+	// flooding the member's loop when G is large.
 	const workersPerGroup = 8
 	workers := workersPerGroup * groups
 	var next atomic.Int64
@@ -74,24 +73,19 @@ func benchGroupScaling(b *testing.B, groups, shards int) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
 	b.ReportMetric(float64(groups), "groups")
-	b.ReportMetric(float64(shards), "shards")
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
 
-// GroupScalingG1S1 is the single-group control every scaling point is
+// GroupScalingG1 is the single-group control every scaling point is
 // measured against.
-func GroupScalingG1S1(b *testing.B) { benchGroupScaling(b, 1, 1) }
+func GroupScalingG1(b *testing.B) { benchGroupScaling(b, 1) }
 
-// GroupScalingG2S2 doubles the groups and the shards.
-func GroupScalingG2S2(b *testing.B) { benchGroupScaling(b, 2, 2) }
+// GroupScalingG2 doubles the groups.
+func GroupScalingG2(b *testing.B) { benchGroupScaling(b, 2) }
 
-// GroupScalingG4S4 is the mid scaling point.
-func GroupScalingG4S4(b *testing.B) { benchGroupScaling(b, 4, 4) }
+// GroupScalingG4 is the mid scaling point.
+func GroupScalingG4(b *testing.B) { benchGroupScaling(b, 4) }
 
-// GroupScalingG8S8 is the acceptance shape: aggregate msgs/s must be at
-// least 3x the G1S1 control.
-func GroupScalingG8S8(b *testing.B) { benchGroupScaling(b, 8, 8) }
-
-// GroupScalingG8S1 squeezes eight groups through one shard loop — the
-// contrast that isolates what sharding (vs mere multiplexing) buys.
-func GroupScalingG8S1(b *testing.B) { benchGroupScaling(b, 8, 1) }
+// GroupScalingG8 is the acceptance shape: aggregate msgs/s must be at
+// least 3x the G1 control.
+func GroupScalingG8(b *testing.B) { benchGroupScaling(b, 8) }

@@ -62,11 +62,10 @@ func Baseline() []Case {
 		{"ThroughputSaturationN5B8", ThroughputSaturationN5B8},
 		{"ThroughputSaturationN5B32", ThroughputSaturationN5B32},
 		{"ThroughputSaturationN9B32", ThroughputSaturationN9B32},
-		{"GroupScalingG1S1", GroupScalingG1S1},
-		{"GroupScalingG2S2", GroupScalingG2S2},
-		{"GroupScalingG4S4", GroupScalingG4S4},
-		{"GroupScalingG8S8", GroupScalingG8S8},
-		{"GroupScalingG8S1", GroupScalingG8S1},
+		{"GroupScalingG1", GroupScalingG1},
+		{"GroupScalingG2", GroupScalingG2},
+		{"GroupScalingG4", GroupScalingG4},
+		{"GroupScalingG8", GroupScalingG8},
 	}
 }
 
@@ -119,10 +118,10 @@ func Fig4Reliable(b *testing.B) { benchFig4(b, nil) }
 func Fig4Crashes(b *testing.B) {
 	benchFig4(b, func() fault.Injector {
 		return fault.Multi{
-			fault.Crash{Proc: 9, At: sim.StartOfSubrun(20)},
-			fault.Crash{Proc: 8, At: sim.StartOfSubrun(45)},
-			fault.Crash{Proc: 7, At: sim.StartOfSubrun(70)},
-			fault.Crash{Proc: 6, At: sim.StartOfSubrun(95)},
+			fault.Crash{Proc: 9, At: fault.Time(sim.StartOfSubrun(20))},
+			fault.Crash{Proc: 8, At: fault.Time(sim.StartOfSubrun(45))},
+			fault.Crash{Proc: 7, At: fault.Time(sim.StartOfSubrun(70))},
+			fault.Crash{Proc: 6, At: fault.Time(sim.StartOfSubrun(95))},
 		}
 	})
 }

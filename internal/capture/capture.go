@@ -22,7 +22,7 @@ import (
 	"sync"
 	"time"
 
-	"urcgc/internal/faultrt"
+	"urcgc/internal/fault"
 	"urcgc/internal/mid"
 )
 
@@ -75,7 +75,7 @@ const (
 	// DropGroup: the frame addressed a group this member does not host
 	// (topics_drop_group_total).
 	DropGroup
-	// DropInbox: the frame was valid but the shard inbox was full — an
+	// DropInbox: the frame was valid but the member's inbox was full — an
 	// overload omission.
 	DropInbox
 	// FaultDrop: a fault injector (or the test-only DropFrame seam, or a
@@ -135,7 +135,7 @@ func (v Verdict) Reached() bool {
 // Classify maps a fault-injector action onto the verdict of a frame that
 // would otherwise be ok (Delivered on ingress, Sent on egress): an injected
 // drop wins, then delay, then duplication; a clean action keeps ok.
-func Classify(ok Verdict, act faultrt.Action) Verdict {
+func Classify(ok Verdict, act fault.Action) Verdict {
 	switch {
 	case act.Drop:
 		return FaultDrop
@@ -161,7 +161,7 @@ type Record struct {
 	// Verdict is what the runtime did with the frame.
 	Verdict Verdict
 	// Fault carries the injected fault kinds when Verdict is Fault*.
-	Fault faultrt.KindSet
+	Fault fault.KindSet
 	// Peer is the other end: the claimed source for ingress, the
 	// destination for egress, mid.None for a broadcast or a mark.
 	Peer mid.ProcID
@@ -222,7 +222,7 @@ func (r *Ring) Enabled() bool { return r != nil }
 // lock), so the caller's buffer is immediately reusable. It returns the
 // assigned capture sequence number; on a nil ring it returns 0 and does
 // nothing, without allocating.
-func (r *Ring) Record(dir Dir, group uint32, peer mid.ProcID, v Verdict, fault faultrt.KindSet, frame []byte) uint64 {
+func (r *Ring) Record(dir Dir, group uint32, peer mid.ProcID, v Verdict, kinds fault.KindSet, frame []byte) uint64 {
 	if r == nil {
 		return 0
 	}
@@ -241,7 +241,7 @@ func (r *Ring) Record(dir Dir, group uint32, peer mid.ProcID, v Verdict, fault f
 		r.evictLocked()
 	}
 	slot := (r.head + r.count) % len(r.recs)
-	r.recs[slot] = Record{Seq: seq, AtNs: at, Dir: dir, Verdict: v, Fault: fault,
+	r.recs[slot] = Record{Seq: seq, AtNs: at, Dir: dir, Verdict: v, Fault: kinds,
 		Peer: peer, Group: group, Frame: cp}
 	r.count++
 	r.bytes += len(cp)
@@ -253,8 +253,8 @@ func (r *Ring) Record(dir Dir, group uint32, peer mid.ProcID, v Verdict, fault f
 }
 
 // Mark records a frameless marker (e.g. the member's own crash).
-func (r *Ring) Mark(v Verdict, fault faultrt.KindSet) uint64 {
-	return r.Record(DirMark, 0, mid.None, v, fault, nil)
+func (r *Ring) Mark(v Verdict, kinds fault.KindSet) uint64 {
+	return r.Record(DirMark, 0, mid.None, v, kinds, nil)
 }
 
 // evictLocked drops the oldest record. Callers hold r.mu.

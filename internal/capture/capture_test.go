@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"urcgc/internal/causal"
-	"urcgc/internal/faultrt"
+	"urcgc/internal/fault"
 	"urcgc/internal/mid"
 	"urcgc/internal/wire"
 )
@@ -25,8 +25,8 @@ func TestRingRoundTrip(t *testing.T) {
 	f := dataFrame(t, mid.MID{Proc: 1, Seq: 7})
 	seq0 := r.Record(DirIngress, 0, 1, Delivered, 0, f)
 	seq1 := r.Record(DirEgress, 3, mid.None, Sent, 0, f)
-	r.Record(DirIngress, 0, 4, FaultDrop, faultrt.KindSet(0).With(faultrt.KindPartition), f)
-	r.Mark(Crash, faultrt.KindSet(0).With(faultrt.KindCrash))
+	r.Record(DirIngress, 0, 4, FaultDrop, fault.KindSet(0).With(fault.KindPartition), f)
+	r.Mark(Crash, fault.KindSet(0).With(fault.KindCrash))
 	if seq0 != 0 || seq1 != 1 {
 		t.Fatalf("seqs %d,%d, want 0,1", seq0, seq1)
 	}
@@ -52,7 +52,7 @@ func TestRingRoundTrip(t *testing.T) {
 	if d.Records[1].Group != 3 || d.Records[1].Peer != mid.None {
 		t.Fatalf("record 1: %+v", d.Records[1])
 	}
-	if !d.Records[2].Fault.Has(faultrt.KindPartition) {
+	if !d.Records[2].Fault.Has(fault.KindPartition) {
 		t.Fatalf("record 2 fault: %v", d.Records[2].Fault)
 	}
 	mark := d.Records[3]

@@ -6,7 +6,7 @@ import (
 	"io"
 	"time"
 
-	"urcgc/internal/faultrt"
+	"urcgc/internal/fault"
 	"urcgc/internal/mid"
 	"urcgc/internal/wire"
 )
@@ -122,7 +122,7 @@ func Decode(r io.Reader) (*Dump, error) {
 			AtNs:    int64(binary.LittleEndian.Uint64(rh[8:])),
 			Dir:     Dir(rh[16]),
 			Verdict: Verdict(rh[17]),
-			Fault:   faultrt.KindSet(rh[18]),
+			Fault:   fault.KindSet(rh[18]),
 			Peer:    mid.ProcID(int32(binary.LittleEndian.Uint32(rh[19:]))),
 			Group:   binary.LittleEndian.Uint32(rh[23:]),
 		}

@@ -117,7 +117,7 @@ func TestCrashTriggersFlushAndViewInstall(t *testing.T) {
 	c := run(t, ClusterConfig{
 		Config:   Config{N: 5, K: 2},
 		Seed:     5,
-		Injector: fault.Crash{Proc: 3, At: failAt},
+		Injector: fault.Crash{Proc: 3, At: fault.Time(failAt)},
 	}, 400, everyOther(40))
 	// All survivors must have installed a view excluding 3.
 	for i := 0; i < 5; i++ {
@@ -159,7 +159,7 @@ func TestSurvivorsConvergeAfterCrash(t *testing.T) {
 	c := run(t, ClusterConfig{
 		Config:   Config{N: 4, K: 2},
 		Seed:     6,
-		Injector: fault.Crash{Proc: 2, At: failAt},
+		Injector: fault.Crash{Proc: 2, At: fault.Time(failAt)},
 	}, 500, everyOther(25))
 	// After the run, survivors must agree on delivered counts per sender.
 	var ref []uint32
@@ -186,7 +186,7 @@ func TestAgreementGrowsWithManagerCrash(t *testing.T) {
 	// manager. T must grow by roughly 5K subruns.
 	k := 2
 	base := func(extra fault.Injector) float64 {
-		inj := fault.Multi{fault.Crash{Proc: 4, At: sim.StartOfSubrun(6)}}
+		inj := fault.Multi{fault.Crash{Proc: 4, At: fault.Time(sim.StartOfSubrun(6))}}
 		if extra != nil {
 			inj = append(inj, extra)
 		}
@@ -213,7 +213,7 @@ func TestAgreementGrowsWithManagerCrash(t *testing.T) {
 		return c.AgreementRTD(last, sim.StartOfSubrun(6))
 	}
 	t0 := base(nil)
-	t1 := base(fault.Crash{Proc: 0, At: sim.StartOfSubrun(6) + 3*sim.TicksPerSubrun})
+	t1 := base(fault.Crash{Proc: 0, At: fault.Time(sim.StartOfSubrun(6) + 3*sim.TicksPerSubrun)})
 	if !(t1 > t0+float64(k)) {
 		t.Errorf("manager crash should lengthen agreement: T(f=0)=%.1f T(f=1)=%.1f", t0, t1)
 	}
@@ -229,7 +229,7 @@ func TestDelayDegradesDuringFlush(t *testing.T) {
 	crashed := run(t, ClusterConfig{
 		Config:   Config{N: 5, K: 3},
 		Seed:     8,
-		Injector: fault.Crash{Proc: 4, At: sim.StartOfSubrun(10)},
+		Injector: fault.Crash{Proc: 4, At: fault.Time(sim.StartOfSubrun(10))},
 	}, 400, everyOther(60))
 	d0, d1 := reliable.Delay.MeanRTD(), crashed.Delay.MeanRTD()
 	if !(d1 > d0*1.5) {

@@ -56,7 +56,7 @@ func TestCrashedMemberStopsDelivering(t *testing.T) {
 	c := run(t, ClusterConfig{
 		Config:   Config{N: 3, K: 2},
 		Seed:     4,
-		Injector: fault.Crash{Proc: 2, At: failAt},
+		Injector: fault.Crash{Proc: 2, At: fault.Time(failAt)},
 	}, 200, everyOther(20))
 	// The dead member's log froze around the crash.
 	dead := len(c.DeliveredLog[2])

@@ -29,6 +29,7 @@ import (
 
 	"urcgc/internal/capture"
 	"urcgc/internal/core"
+	"urcgc/internal/fault"
 	"urcgc/internal/faultrt"
 	"urcgc/internal/health"
 	"urcgc/internal/lifecycle"
@@ -76,7 +77,7 @@ type Config struct {
 	// Inject, when non-nil, layers an extra scripted adversary onto the
 	// seeded schedule — tests use it for targeted faults (a permanent
 	// partition, say) the background plan never generates.
-	Inject faultrt.Injector
+	Inject fault.Injector
 	// Metrics, when non-nil, receives the cluster's and the injector's
 	// instruments (faultrt_injected_total{kind} among them).
 	Metrics *obs.Registry
@@ -250,9 +251,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	sched := faultrt.NewSchedule(cfg.Seed, cfg.N, cfg.Duration, cfg.Round, cfg.K)
 	logf("%s", sched)
-	inj := faultrt.Injector(sched.Injector())
+	inj := fault.Injector(sched.Injector())
 	if cfg.Inject != nil {
-		inj = faultrt.Multi{inj, cfg.Inject}
+		inj = fault.Multi{inj, cfg.Inject}
 	}
 	hook := faultrt.NewHook(inj, cfg.Metrics)
 	var rings []*capture.Ring
@@ -268,7 +269,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		// member's ring so replay knows its silence is death, not loss.
 		hook.OnCrash = func(p mid.ProcID, _ time.Duration) {
 			if int(p) < len(rings) {
-				rings[p].Mark(capture.Crash, faultrt.KindSet(0).With(faultrt.KindCrash))
+				rings[p].Mark(capture.Crash, fault.KindSet(0).With(fault.KindCrash))
 			}
 		}
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"urcgc/internal/faultrt"
+	"urcgc/internal/fault"
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/obs"
 )
@@ -134,7 +134,7 @@ func assessSoak(t *testing.T, rep *Report, reg *obs.Registry) {
 	// Every scheduled fault kind must have fired, and the per-kind
 	// counters must be visible on the metrics registry.
 	snap := reg.Snapshot()
-	for _, k := range faultrt.Kinds() {
+	for k := fault.Kind(0); k < fault.NumKinds; k++ {
 		if rep.Injected[k.String()] == 0 {
 			t.Errorf("no %s fault was ever injected", k)
 		}

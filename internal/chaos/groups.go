@@ -1,10 +1,10 @@
 // Multi-group soak: the fault-isolation counterpart of Run. Where Run
-// soaks one group under a seeded schedule, RunGroups hosts a sharded
+// soaks one group under a seeded schedule, RunGroups hosts a
 // multi-group cluster (internal/topics), partitions exactly one group by
 // dropping that group's frames to and from one member, and watches the
 // per-group health verdicts: the partitioned group must degrade on the
 // /healthz rules — and recover after the heal — while every co-hosted
-// group on the very same nodes, sockets and shard loops stays healthy
+// group on the very same nodes, sockets and protocol loops stays healthy
 // throughout. That isolation is the point of the per-group observability
 // layer: a fault confined to one group reads as that group's problem, not
 // as whole-node noise.
@@ -34,8 +34,6 @@ type GroupsConfig struct {
 	N int
 	// Groups is how many groups share the transport (default 3).
 	Groups int
-	// Shards is the shard-loop count (0 = the runtime's default).
-	Shards int
 	// Round is the wall-clock round length (default 2ms).
 	Round time.Duration
 	// Warm bounds the pre-fault wait for an all-healthy verdict with
@@ -227,7 +225,7 @@ func (m *groupsMonitor) await(ctx context.Context, budget time.Duration, cond fu
 	}
 }
 
-// RunGroups executes one multi-group partition soak: boot the sharded
+// RunGroups executes one multi-group partition soak: boot the multi-group
 // cluster, drive load into every group, wait for an all-healthy baseline,
 // cut one member out of one group, hold the cut, heal, and report which
 // groups' health verdicts noticed.
@@ -251,7 +249,6 @@ func RunGroups(ctx context.Context, cfg GroupsConfig) (*GroupsReport, error) {
 			BatchMax: core.DefaultBatchMax,
 		},
 		Groups:        cfg.Groups,
-		Shards:        cfg.Shards,
 		RoundDuration: cfg.Round,
 		Metrics:       cfg.Metrics,
 		DropFrame: func(group uint32, src, dst mid.ProcID) bool {

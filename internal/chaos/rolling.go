@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"urcgc/internal/core"
+	"urcgc/internal/fault"
 	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
@@ -146,9 +147,9 @@ func RunRollingRestart(ctx context.Context, cfg RollingConfig) (*RollingReport, 
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	var inj faultrt.Injector = faultrt.None{}
+	var inj fault.Injector = fault.None{}
 	if cfg.OmissionEvery > 0 {
-		inj = &faultrt.DropEvery{N: cfg.OmissionEvery, Side: faultrt.AtSend}
+		inj = &fault.EveryNth{N: cfg.OmissionEvery, Side: fault.AtSend}
 	}
 	hook := faultrt.NewHook(inj, cfg.Metrics)
 	checker := faultrt.NewChecker()

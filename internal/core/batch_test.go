@@ -91,7 +91,7 @@ func TestBatchedCrashRunConverges(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config:   cfg,
 		Seed:     22,
-		Injector: fault.Crash{Proc: 4, At: sim.StartOfSubrun(3)},
+		Injector: fault.Crash{Proc: 4, At: fault.Time(sim.StartOfSubrun(3))},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func TestLemma41DetectionBound(t *testing.T) {
 		c, err := NewCluster(ClusterConfig{
 			Config:   Config{N: 6, K: k, R: 2*k + 2, SelfExclusion: true},
 			Seed:     int64(k),
-			Injector: fault.Crash{Proc: 5, At: crashAt},
+			Injector: fault.Crash{Proc: 5, At: fault.Time(crashAt)},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestLemma42RecoveryBound(t *testing.T) {
 		Config: Config{N: 5, K: k, R: 2*k + 2, SelfExclusion: true},
 		Seed:   9,
 		Injector: fault.During{
-			From: lossFrom, To: lossTo,
+			From: fault.Time(lossFrom), To: fault.Time(lossTo),
 			Inner: fault.OnlyProc{Proc: 3, Inner: &fault.EveryNth{N: 1, Side: fault.AtRecv}},
 		},
 	})
@@ -113,7 +113,7 @@ func TestRecoveryExhaustionLeave(t *testing.T) {
 		Config: Config{N: 4, K: k, R: 2*k + 1, SelfExclusion: true},
 		Seed:   10,
 		Injector: fault.During{
-			From: sim.StartOfSubrun(3), To: 1 << 40,
+			From: fault.Time(sim.StartOfSubrun(3)), To: 1 << 40,
 			// p3 stops receiving DATA and decisions entirely.
 			Inner: fault.OnlyProc{Proc: 3, Inner: &fault.EveryNth{N: 1, Side: fault.AtRecv}},
 		},

@@ -125,12 +125,8 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	inj := cc.Injector
-	if inj == nil {
-		inj = fault.None{}
-	}
 	eng := sim.NewEngine(cc.Seed)
-	nw := simnet.New(eng, cc.N, inj)
+	nw := simnet.New(eng, cc.N, cc.Injector)
 	if cc.Latency != nil {
 		nw.SetLatency(cc.Latency)
 	}
@@ -264,13 +260,7 @@ func (c *Cluster) Proc(i mid.ProcID) *Process { return c.procs[i] }
 func (c *Cluster) N() int { return c.cfg.N }
 
 // Crashed reports whether the failure model has fail-stopped process p.
-func (c *Cluster) Crashed(p mid.ProcID) bool {
-	inj := c.cfg.Injector
-	if inj == nil {
-		return false
-	}
-	return inj.Crashed(p, c.eng.Now())
-}
+func (c *Cluster) Crashed(p mid.ProcID) bool { return c.net.Crashed(p) }
 
 // Active reports whether process p is still executing the protocol: not
 // fail-stopped by the failure model and not self-excluded.

@@ -165,7 +165,7 @@ func TestCrashedProcessIsDeclaredAndExcluded(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config:   baseCfg(5),
 		Seed:     4,
-		Injector: fault.Crash{Proc: 4, At: crashAt},
+		Injector: fault.Crash{Proc: 4, At: fault.Time(crashAt)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestCoordinatorCrashDoesNotBlock(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config:   baseCfg(5),
 		Seed:     5,
-		Injector: fault.Crash{Proc: 0, At: sim.StartOfSubrun(5)},
+		Injector: fault.Crash{Proc: 0, At: fault.Time(sim.StartOfSubrun(5))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestOmissionRecoveryFromHistory(t *testing.T) {
 		Config: cfg,
 		Seed:   6,
 		Injector: fault.During{
-			From: 0, To: 10 * sim.TicksPerRTD,
+			From: 0, To: fault.Time(10 * sim.TicksPerRTD),
 			Inner: fault.NewRate(0.03, fault.AtSend, 1234),
 		},
 	})
@@ -293,7 +293,7 @@ func TestSendFaultyProcessSuicides(t *testing.T) {
 		Config: baseCfg(5),
 		Seed:   7,
 		Injector: fault.During{
-			From: sim.StartOfSubrun(2), To: 1 << 40,
+			From: fault.Time(sim.StartOfSubrun(2)), To: 1 << 40,
 			Inner: fault.OnlyProc{Proc: 3, Inner: &fault.EveryNth{N: 1, Side: fault.AtSend}},
 		},
 	})
@@ -325,10 +325,10 @@ func TestOrphanedSequenceIsDiscarded(t *testing.T) {
 	// destroy msg2 everywhere and move on.
 	inj := fault.Multi{
 		fault.During{
-			From: 0, To: sim.StartOfSubrun(1),
+			From: 0, To: fault.Time(sim.StartOfSubrun(1)),
 			Inner: fault.OnlyProc{Proc: 0, Inner: &fault.EveryNth{N: 1, Side: fault.AtSend}},
 		},
-		fault.Crash{Proc: 0, At: sim.StartOfRound(2) + 400},
+		fault.Crash{Proc: 0, At: fault.Time(sim.StartOfRound(2) + 400)},
 	}
 	c, err := NewCluster(ClusterConfig{Config: baseCfg(5), Seed: 8, Injector: inj})
 	if err != nil {
@@ -424,7 +424,7 @@ func TestDeterminism(t *testing.T) {
 		c, err := NewCluster(ClusterConfig{
 			Config:   baseCfg(5),
 			Seed:     42,
-			Injector: fault.Multi{fault.Crash{Proc: 2, At: sim.StartOfSubrun(4)}, &fault.EveryNth{N: 11, Side: fault.AtSend}},
+			Injector: fault.Multi{fault.Crash{Proc: 2, At: fault.Time(sim.StartOfSubrun(4))}, &fault.EveryNth{N: 11, Side: fault.AtSend}},
 		})
 		if err != nil {
 			t.Fatal(err)

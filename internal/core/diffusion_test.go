@@ -83,7 +83,7 @@ func TestObserverStalenessBlocksCleaning(t *testing.T) {
 	// excluded, after which cleaning resumes — same machinery as peers.
 	cfg := diffusionCfg(4, 1)
 	inj := fault.During{
-		From: sim.StartOfSubrun(4), To: 1 << 40,
+		From: fault.Time(sim.StartOfSubrun(4)), To: 1 << 40,
 		Inner: fault.OnlyProc{Proc: 3, Inner: &fault.EveryNth{N: 1, Side: fault.AtSend}},
 	}
 	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 23, Injector: inj})

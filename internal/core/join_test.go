@@ -238,7 +238,7 @@ func TestSimJoinConvergence(t *testing.T) {
 		Config: Config{N: 5, K: 2, R: 6, SelfExclusion: true},
 		Seed:   7,
 		Injector: fault.CrashWindow{
-			Proc: victim, At: sim.StartOfRound(40), Until: sim.StartOfRound(160),
+			Proc: victim, At: fault.Time(sim.StartOfRound(40)), Until: fault.Time(sim.StartOfRound(160)),
 		},
 	})
 	if err != nil {

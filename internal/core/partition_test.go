@@ -16,8 +16,8 @@ import (
 func TestShortPartitionHeals(t *testing.T) {
 	k := 4
 	cut := fault.Partition{
-		From:  sim.StartOfSubrun(6),
-		To:    sim.StartOfSubrun(8), // 2 subruns < K
+		From:  fault.Time(sim.StartOfSubrun(6)),
+		To:    fault.Time(sim.StartOfSubrun(8)), // 2 subruns < K
 		SideA: map[mid.ProcID]bool{0: true, 1: true, 2: true},
 	}
 	c, err := NewCluster(ClusterConfig{
@@ -70,8 +70,8 @@ func TestShortPartitionHeals(t *testing.T) {
 func TestLongPartitionStaysSafe(t *testing.T) {
 	k := 2
 	cut := fault.Partition{
-		From:  sim.StartOfSubrun(6),
-		To:    sim.StartOfSubrun(16), // 10 subruns >> K
+		From:  fault.Time(sim.StartOfSubrun(6)),
+		To:    fault.Time(sim.StartOfSubrun(16)), // 10 subruns >> K
 		SideA: map[mid.ProcID]bool{0: true, 1: true},
 	}
 	c, err := NewCluster(ClusterConfig{

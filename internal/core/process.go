@@ -307,7 +307,7 @@ type RoundObservation struct {
 // PendingSubmissions, and reads of the exported Stats field — must run on
 // the goroutine that drives StartRound/Recv. Calling them from any other
 // goroutine races with applyDecision and cascade mutating the same state.
-// In the live runtime that goroutine is the group's shard loop: off-loop
+// In the live runtime that goroutine is the member's protocol loop: off-loop
 // readers go through topics.MultiNode.Snapshot/Status, which hand the
 // Process to a closure inside the loop. The deterministic
 // simulator is single-goroutine, so tests and experiments that call

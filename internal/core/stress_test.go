@@ -47,12 +47,12 @@ func TestRandomizedFailureSchedules(t *testing.T) {
 			}
 			at := sim.Time(rng.Int63n(int64(20 * sim.TicksPerRTD)))
 			crashedAt[p] = at
-			inj = append(inj, fault.Crash{Proc: p, At: at})
+			inj = append(inj, fault.Crash{Proc: p, At: fault.Time(at)})
 		}
 		if rng.Intn(2) == 0 {
 			inj = append(inj, fault.During{
 				From:  0,
-				To:    sim.Time(10+rng.Intn(20)) * sim.TicksPerRTD,
+				To:    fault.Time(sim.Time(10+rng.Intn(20)) * sim.TicksPerRTD),
 				Inner: fault.NewRate(0.01+0.02*rng.Float64(), fault.AtSend, rng.Int63()),
 			})
 		}
@@ -120,7 +120,7 @@ func TestResilienceBoundCrashBurst(t *testing.T) {
 	cfg := Config{N: n, K: 3, R: 8, SelfExclusion: true}
 	var inj fault.Multi
 	for i := 0; i < group.Resilience(n); i++ {
-		inj = append(inj, fault.Crash{Proc: mid.ProcID(2*i + 1), At: sim.StartOfSubrun(4) + sim.Time(i*10)})
+		inj = append(inj, fault.Crash{Proc: mid.ProcID(2*i + 1), At: fault.Time(sim.StartOfSubrun(4) + sim.Time(i*10))})
 	}
 	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 77, Injector: inj})
 	if err != nil {
@@ -158,8 +158,8 @@ func TestBackToBackCoordinatorCrashes(t *testing.T) {
 	// Coordinators rotate 0,1,2,...; kill coordinators of subruns 3 and 4
 	// just before their decision phases.
 	inj := fault.Multi{
-		fault.Crash{Proc: 3, At: sim.StartOfSubrun(3) + sim.TicksPerRound - 1},
-		fault.Crash{Proc: 4, At: sim.StartOfSubrun(4) + sim.TicksPerRound - 1},
+		fault.Crash{Proc: 3, At: fault.Time(sim.StartOfSubrun(3) + sim.TicksPerRound - 1)},
+		fault.Crash{Proc: 4, At: fault.Time(sim.StartOfSubrun(4) + sim.TicksPerRound - 1)},
 	}
 	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 3, Injector: inj})
 	if err != nil {

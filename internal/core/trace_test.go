@@ -27,11 +27,11 @@ func TestTraceVerifierOnFaultyRuns(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			inj = append(inj, fault.Crash{
 				Proc: mid.ProcID(rng.Intn(n)),
-				At:   sim.Time(rng.Int63n(int64(15 * sim.TicksPerRTD))),
+				At:   fault.Time(sim.Time(rng.Int63n(int64(15 * sim.TicksPerRTD)))),
 			})
 		}
 		inj = append(inj, fault.During{
-			From: 0, To: 15 * sim.TicksPerRTD,
+			From: 0, To: fault.Time(15 * sim.TicksPerRTD),
 			Inner: fault.NewRate(0.02, fault.AtSend, rng.Int63()),
 		})
 		c, err := NewCluster(ClusterConfig{Config: cfg, Seed: rng.Int63(), Injector: inj})

@@ -21,7 +21,7 @@ func TestTransportHShiftsRecoveryIntoTransport(t *testing.T) {
 			Seed:       11,
 			TransportH: h,
 			Injector: fault.During{
-				From: 0, To: 12 * sim.TicksPerRTD,
+				From: 0, To: fault.Time(12 * sim.TicksPerRTD),
 				Inner: fault.NewRate(0.04, fault.AtSend, 77),
 			},
 		})

@@ -72,7 +72,7 @@ func ablateTransport(cfg AblationConfig, h int) (recoveries, retries int, err er
 		Seed:       cfg.Seed + 11,
 		TransportH: h,
 		Injector: fault.During{
-			From: 0, To: 12 * sim.TicksPerRTD,
+			From: 0, To: fault.Time(12 * sim.TicksPerRTD),
 			Inner: fault.NewRate(0.04, fault.AtSend, cfg.Seed+77),
 		},
 	})
@@ -101,7 +101,7 @@ func ablateLabelling(cfg AblationConfig, shape workload.Shape) (waitPeak, p95 fl
 		Config: core.Config{N: cfg.N, K: cfg.K, R: 2*cfg.K + 2, SelfExclusion: true},
 		Seed:   cfg.Seed + 5,
 		Injector: fault.During{
-			From: 0, To: 30 * sim.TicksPerRTD,
+			From: 0, To: fault.Time(30 * sim.TicksPerRTD),
 			Inner: &fault.EveryNth{N: 40, Side: fault.AtSend},
 		},
 	})
@@ -130,7 +130,7 @@ func ablateFlowControl(cfg AblationConfig, threshold int) (float64, error) {
 			HistoryThreshold: threshold, SelfExclusion: true,
 		},
 		Seed:     cfg.Seed + 3,
-		Injector: fault.Crash{Proc: mid.ProcID(cfg.N - 1), At: 2 * sim.TicksPerRTD},
+		Injector: fault.Crash{Proc: mid.ProcID(cfg.N - 1), At: fault.Time(2 * sim.TicksPerRTD)},
 	})
 	if err != nil {
 		return 0, err

@@ -84,7 +84,7 @@ func fig4Crashes(cfg Fig4Config) fault.Injector {
 	var inj fault.Multi
 	for i := 0; i < cfg.Crashes; i++ {
 		at := sim.StartOfSubrun(20 + 25*i)
-		inj = append(inj, fault.Crash{Proc: mid.ProcID(cfg.N - 1 - i), At: at})
+		inj = append(inj, fault.Crash{Proc: mid.ProcID(cfg.N - 1 - i), At: fault.Time(at)})
 	}
 	return inj
 }

@@ -89,12 +89,12 @@ func fig5URCGC(cfg Fig5Config, f int) (float64, error) {
 	const s0 = 6
 	subject := mid.ProcID(3) // not a coordinator around subrun s0 for n>=8
 	t0 := sim.StartOfSubrun(s0)
-	inj := fault.Multi{fault.Crash{Proc: subject, At: t0}}
+	inj := fault.Multi{fault.Crash{Proc: subject, At: fault.Time(t0)}}
 	for i := 1; i <= f; i++ {
 		coord := mid.ProcID((s0 + i) % cfg.N)
 		inj = append(inj, fault.Crash{
 			Proc: coord,
-			At:   sim.StartOfSubrun(s0+i) + sim.TicksPerRound - 1,
+			At:   fault.Time(sim.StartOfSubrun(s0+i) + sim.TicksPerRound - 1),
 		})
 	}
 	c, err := core.NewCluster(core.ClusterConfig{
@@ -150,13 +150,13 @@ func fig5CBCAST(cfg Fig5Config, f int) (float64, error) {
 	const s0 = 6
 	subject := mid.ProcID(cfg.N - 1)
 	t0 := sim.StartOfSubrun(s0)
-	inj := fault.Multi{fault.Crash{Proc: subject, At: t0}}
+	inj := fault.Multi{fault.Crash{Proc: subject, At: fault.Time(t0)}}
 	// Managers are the lowest-ranked live members: 0, then 1, ... Crash
 	// manager i a little into its flush attempt.
 	for i := 0; i < f; i++ {
 		inj = append(inj, fault.Crash{
 			Proc: mid.ProcID(i),
-			At:   t0 + sim.Time(cfg.K*(2+3*i))*sim.TicksPerSubrun,
+			At:   fault.Time(t0 + sim.Time(cfg.K*(2+3*i))*sim.TicksPerSubrun),
 		})
 	}
 	c, err := cbcast.NewCluster(cbcast.ClusterConfig{
@@ -222,7 +222,7 @@ func fig5Psync(cfg Fig5Config) (float64, error) {
 	c, err := psync.NewCluster(psync.ClusterConfig{
 		Config:   psync.Config{N: cfg.N, K: cfg.K},
 		Seed:     cfg.Seed,
-		Injector: fault.Crash{Proc: subject, At: t0},
+		Injector: fault.Crash{Proc: subject, At: fault.Time(t0)},
 	})
 	if err != nil {
 		return 0, err

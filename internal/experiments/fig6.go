@@ -95,11 +95,11 @@ func fig6Run(cfg Fig6Config, k int, faulty, flow bool) (Fig6Curve, error) {
 		// histories less; the second admissible crash inside the same window
 		// restores the paper's growth regime — see EXPERIMENTS.md.)
 		inj = fault.Multi{
-			fault.Crash{Proc: mid.ProcID(cfg.N - 1), At: 2 * sim.TicksPerRTD},
-			fault.Crash{Proc: mid.ProcID(cfg.N - 2), At: 4 * sim.TicksPerRTD},
+			fault.Crash{Proc: mid.ProcID(cfg.N - 1), At: fault.Time(2 * sim.TicksPerRTD)},
+			fault.Crash{Proc: mid.ProcID(cfg.N - 2), At: fault.Time(4 * sim.TicksPerRTD)},
 			fault.During{
 				From:  0,
-				To:    sim.Time(cfg.FailWindowRTD) * sim.TicksPerRTD,
+				To:    fault.Time(sim.Time(cfg.FailWindowRTD) * sim.TicksPerRTD),
 				Inner: &fault.EveryNth{N: 500, Side: fault.AtSend},
 			},
 		}

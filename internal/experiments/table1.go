@@ -58,7 +58,7 @@ func Table1(cfg Table1Config) (Table1Result, error) {
 	res := Table1Result{Cfg: cfg}
 	for _, n := range cfg.Ns {
 		crashInj := func() fault.Injector {
-			return fault.Crash{Proc: mid.ProcID(n - 1), At: sim.StartOfSubrun(8)}
+			return fault.Crash{Proc: mid.ProcID(n - 1), At: fault.Time(sim.StartOfSubrun(8))}
 		}
 		// urcgc reliable and crash.
 		ur, err := table1URCGC(cfg, n, nil)

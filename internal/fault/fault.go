@@ -5,64 +5,188 @@
 // the link, which the protocol cannot distinguish from process omissions —
 // exactly the property urcgc exploits to stay transport-agnostic.
 //
+// The one algebra serves both drivers. Time is an abstract elapsed count in
+// the driver's unit: the simulated network (internal/simnet) consults
+// injectors in simulator ticks, the live runtime's wall-clock front
+// (internal/faultrt's Hook) in nanoseconds since the run started. Every
+// consultation of a packet returns an Action — drop, delay, extra copies —
+// and each driver honours all of it.
+//
 // Injectors are deterministic given their construction parameters (and
-// seed, where randomized), so experiment runs are reproducible.
+// seed, where randomized) and the sequence of consultations: replaying the
+// same consultation sequence against an injector built from the same
+// parameters yields the identical verdict sequence.
+//
+// Scoping contract: During and OnlyProc scope their inner injector's
+// world. Outside the window, or for other processes' packets, the inner
+// injector is not consulted at all, so a counter-based inner like EveryNth
+// counts in-scope packets only — During{EveryNth{N}} means "every Nth
+// packet of the window", not "the window's share of a run-long cadence".
+// Multi is the deliberate opposite: it consults every member on every
+// packet, so sibling counters advance consistently regardless of
+// composition order. The experiments (Figure 6, the ablations) depend on
+// window-scoped counting; regression tests pin both halves.
 package fault
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"urcgc/internal/mid"
-	"urcgc/internal/sim"
 )
 
-// Injector decides which failures occur. The simulated network consults it
-// on every packet, and node drivers consult Crashed to halt fail-stopped
-// processes.
-type Injector interface {
-	// Crashed reports whether process p has crashed by time now.
-	Crashed(p mid.ProcID, now sim.Time) bool
-	// DropSend reports whether a send omission (at src, or in the subnet)
-	// destroys the packet src->dst submitted at time now.
-	DropSend(src, dst mid.ProcID, now sim.Time) bool
-	// DropRecv reports whether a receive omission at dst destroys the
-	// packet src->dst that would be delivered at time now.
-	DropRecv(src, dst mid.ProcID, now sim.Time) bool
+// Time is elapsed time in the driver's unit: simulator ticks or wall-clock
+// nanoseconds.
+type Time int64
+
+// Kind classifies an injected fault for counters, traces and captures.
+// The values are part of the URCGCCAP capture format: never renumber them.
+type Kind uint8
+
+// Fault kinds.
+const (
+	KindDrop      Kind = iota // omission: the packet is destroyed
+	KindDelay                 // the packet is held back (reordering when jittered)
+	KindDuplicate             // extra copies of the packet are delivered
+	KindPartition             // omission charged to a network cut
+	KindCrash                 // fail-stop of a whole process
+	NumKinds                  // how many kinds there are
+)
+
+var kindNames = [NumKinds]string{"drop", "delay", "duplicate", "partition", "crash"}
+
+// String implements fmt.Stringer.
+func (k Kind) String() string {
+	if k < NumKinds {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// None is the reliable system: no failures at all.
-type None struct{}
+// KindSet is a bitmask of fault kinds.
+type KindSet uint8
+
+// Has reports whether the set contains k.
+func (s KindSet) Has(k Kind) bool { return s&(1<<k) != 0 }
+
+// With returns the set extended with k.
+func (s KindSet) With(k Kind) KindSet { return s | 1<<k }
+
+// String renders the set as "drop+delay".
+func (s KindSet) String() string {
+	if s == 0 {
+		return "none"
+	}
+	var parts []string
+	for k := Kind(0); k < NumKinds; k++ {
+		if s.Has(k) {
+			parts = append(parts, k.String())
+		}
+	}
+	return strings.Join(parts, "+")
+}
+
+// Action is an injector's verdict on one packet. The zero Action lets the
+// packet pass untouched.
+type Action struct {
+	// Drop destroys the packet (an omission).
+	Drop bool
+	// Delay holds the packet back before handing it on, in the driver's
+	// time unit. Combined with jitter (see DelayEvery) later packets
+	// overtake it — reordering, which the paper's omission model does not
+	// distinguish from loss-plus-recovery.
+	Delay Time
+	// Dup is how many extra copies to deliver beyond the original.
+	Dup int
+	// Kinds names the fault kinds that produced this verdict.
+	Kinds KindSet
+}
+
+// Faulty reports whether the action does anything at all.
+func (a Action) Faulty() bool { return a.Drop || a.Delay > 0 || a.Dup > 0 }
+
+// merge folds another verdict in (Multi semantics): any drop wins, the
+// longest delay wins, duplicates accumulate, kinds union.
+func (a *Action) merge(b Action) {
+	a.Drop = a.Drop || b.Drop
+	a.Delay = max(a.Delay, b.Delay)
+	a.Dup += b.Dup
+	a.Kinds |= b.Kinds
+}
+
+func dropped(k Kind) Action { return Action{Drop: true, Kinds: KindSet(0).With(k)} }
+
+// Side names the boundary a packet is consulted at. The protocol cannot
+// distinguish the two, but the drivers' hooks differ: send faults happen
+// before the wire, receive faults after it.
+type Side int
+
+// Packet boundaries.
+const (
+	AtSend Side = iota // sender-side or subnet loss before the wire
+	AtRecv             // receiver-side loss (e.g. buffer overflow)
+)
+
+// proc returns the process whose boundary side is for a packet src->dst:
+// the sender at AtSend, the receiver at AtRecv.
+func (side Side) proc(src, dst mid.ProcID) mid.ProcID {
+	if side == AtSend {
+		return src
+	}
+	return dst
+}
+
+// Injector decides which failures occur. A driver consults Packet at AtSend
+// for every packet about to leave src for dst, at AtRecv for every packet
+// about to be handed to dst's protocol entity, and Crashed to fail-stop
+// whole processes. now is the elapsed time on the driver's clock.
+//
+// Implementations need not be goroutine-safe: the simulator is single
+// threaded and faultrt's Hook serializes live consultations.
+type Injector interface {
+	// Crashed reports whether process p has fail-stopped by time now.
+	Crashed(p mid.ProcID, now Time) bool
+	// Packet returns the verdict for a packet src->dst at boundary side:
+	// a send omission at src or loss in the subnet (AtSend), a receive
+	// omission at dst (AtRecv).
+	Packet(side Side, src, dst mid.ProcID, now Time) Action
+}
+
+// noCrash supplies Crashed for the injectors that never fail-stop anyone.
+type noCrash struct{}
 
 // Crashed implements Injector.
-func (None) Crashed(mid.ProcID, sim.Time) bool { return false }
+func (noCrash) Crashed(mid.ProcID, Time) bool { return false }
 
-// DropSend implements Injector.
-func (None) DropSend(mid.ProcID, mid.ProcID, sim.Time) bool { return false }
+// None is the reliable system: no failures at all.
+type None struct{ noCrash }
 
-// DropRecv implements Injector.
-func (None) DropRecv(mid.ProcID, mid.ProcID, sim.Time) bool { return false }
+// Packet implements Injector.
+func (None) Packet(Side, mid.ProcID, mid.ProcID, Time) Action { return Action{} }
 
 // Crash fail-stops one process at a fixed time. From At onwards the process
 // neither sends nor receives, permanently.
 type Crash struct {
 	Proc mid.ProcID
-	At   sim.Time
+	At   Time
 }
 
 // Crashed implements Injector.
-func (c Crash) Crashed(p mid.ProcID, now sim.Time) bool {
-	return p == c.Proc && now >= c.At
+func (c Crash) Crashed(p mid.ProcID, now Time) bool { return p == c.Proc && now >= c.At }
+
+// Packet implements Injector: a crashed sender emits nothing, a crashed
+// receiver absorbs nothing.
+func (c Crash) Packet(side Side, src, dst mid.ProcID, now Time) Action {
+	return crashVerdict(c.Crashed(side.proc(src, dst), now))
 }
 
-// DropSend implements Injector. A crashed sender emits nothing.
-func (c Crash) DropSend(src, _ mid.ProcID, now sim.Time) bool {
-	return c.Crashed(src, now)
-}
-
-// DropRecv implements Injector. A crashed receiver absorbs nothing.
-func (c Crash) DropRecv(_, dst mid.ProcID, now sim.Time) bool {
-	return c.Crashed(dst, now)
+func crashVerdict(crashed bool) Action {
+	if crashed {
+		return dropped(KindCrash)
+	}
+	return Action{}
 }
 
 // CrashWindow fail-stops one process for a bounded interval [At, Until):
@@ -73,66 +197,49 @@ func (c Crash) DropRecv(_, dst mid.ProcID, now sim.Time) bool {
 // restarted process is re-admitted by a coordinator, not by the injector.)
 type CrashWindow struct {
 	Proc  mid.ProcID
-	At    sim.Time
-	Until sim.Time
+	At    Time
+	Until Time
 }
 
 // Crashed implements Injector.
-func (c CrashWindow) Crashed(p mid.ProcID, now sim.Time) bool {
+func (c CrashWindow) Crashed(p mid.ProcID, now Time) bool {
 	return p == c.Proc && now >= c.At && now < c.Until
 }
 
-// DropSend implements Injector. A down sender emits nothing.
-func (c CrashWindow) DropSend(src, _ mid.ProcID, now sim.Time) bool {
-	return c.Crashed(src, now)
+// Packet implements Injector: a down process neither sends nor receives.
+func (c CrashWindow) Packet(side Side, src, dst mid.ProcID, now Time) Action {
+	return crashVerdict(c.Crashed(side.proc(src, dst), now))
 }
 
-// DropRecv implements Injector. A down receiver absorbs nothing.
-func (c CrashWindow) DropRecv(_, dst mid.ProcID, now sim.Time) bool {
-	return c.Crashed(dst, now)
+// nth counts the packets consulted on side want in *seen and reports
+// whether this one is an n-th; n <= 0 never fires.
+func nth(n int, want, side Side, seen *int) bool {
+	if side != want || n <= 0 {
+		return false
+	}
+	*seen++
+	return *seen%n == 0
 }
 
-// EveryNth drops every N-th packet it is consulted about, counting all
-// packets globally. This is the deterministic reading of the paper's
-// "one omission failure each 500 messages" (the 1/500 and 1/100 curves of
+// EveryNth drops every N-th packet it is consulted about on its side,
+// counting globally. This is the deterministic reading of the paper's "one
+// omission failure each 500 messages" (the 1/500 and 1/100 curves of
 // Figure 4). With Side selecting where the omission occurs it covers send
 // omissions, receive omissions, and subnet loss, which all look identical
-// to the protocol.
+// to the protocol. N <= 0 disables it.
 type EveryNth struct {
 	N    int
 	Side Side
-	sent int
-	recv int
+	seen int
+	noCrash
 }
 
-// Side selects where an omission is charged.
-type Side int
-
-// Omission sides.
-const (
-	AtSend Side = iota // sender-side or subnet loss before the wire
-	AtRecv             // receiver-side loss (e.g. buffer overflow)
-)
-
-// Crashed implements Injector.
-func (*EveryNth) Crashed(mid.ProcID, sim.Time) bool { return false }
-
-// DropSend implements Injector.
-func (e *EveryNth) DropSend(_, _ mid.ProcID, _ sim.Time) bool {
-	if e.Side != AtSend || e.N <= 0 {
-		return false
+// Packet implements Injector.
+func (e *EveryNth) Packet(side Side, _, _ mid.ProcID, _ Time) Action {
+	if !nth(e.N, e.Side, side, &e.seen) {
+		return Action{}
 	}
-	e.sent++
-	return e.sent%e.N == 0
-}
-
-// DropRecv implements Injector.
-func (e *EveryNth) DropRecv(_, _ mid.ProcID, _ sim.Time) bool {
-	if e.Side != AtRecv || e.N <= 0 {
-		return false
-	}
-	e.recv++
-	return e.recv%e.N == 0
+	return dropped(KindDrop)
 }
 
 // Rate drops packets independently with probability P, using its own seeded
@@ -141,6 +248,7 @@ type Rate struct {
 	P    float64
 	Side Side
 	rng  *rand.Rand
+	noCrash
 }
 
 // NewRate returns a probabilistic omission injector with the given drop
@@ -149,160 +257,170 @@ func NewRate(p float64, side Side, seed int64) *Rate {
 	return &Rate{P: p, Side: side, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Crashed implements Injector.
-func (*Rate) Crashed(mid.ProcID, sim.Time) bool { return false }
-
-// DropSend implements Injector.
-func (r *Rate) DropSend(_, _ mid.ProcID, _ sim.Time) bool {
-	return r.Side == AtSend && r.rng.Float64() < r.P
+// Packet implements Injector.
+func (r *Rate) Packet(side Side, _, _ mid.ProcID, _ Time) Action {
+	if side == r.Side && r.rng.Float64() < r.P {
+		return dropped(KindDrop)
+	}
+	return Action{}
 }
 
-// DropRecv implements Injector.
-func (r *Rate) DropRecv(_, _ mid.ProcID, _ sim.Time) bool {
-	return r.Side == AtRecv && r.rng.Float64() < r.P
+// DelayEvery holds back every N-th packet on its side by D plus a seeded
+// jitter in [0, Jitter). With nonzero jitter, delayed packets are overtaken
+// by later ones: this is how reordering is injected — the protocol, built
+// on the omission model, must treat an overtaken packet exactly like a
+// late retransmission.
+type DelayEvery struct {
+	N      int
+	D      Time
+	Jitter Time
+	Side   Side
+	rng    *rand.Rand
+	seen   int
+	noCrash
 }
 
-// During confines an inner injector's omissions to the window [From, To).
-// Crashes are not windowed — a crash inside the window is still permanent —
-// matching Figure 6's "failures are considered to occur during the first
-// 5 rtd".
-//
-// Scoping contract: the window scopes the inner injector's world. Outside
-// [From, To) the inner injector is not consulted at all, so a
-// counter-based inner like EveryNth counts in-window packets only —
-// During{EveryNth{N}} means "every Nth packet of the window", not "the
-// window's share of a run-long cadence". OnlyProc filters the same way.
-// Multi is the deliberate opposite: it consults every member on every
-// packet, so sibling counters advance consistently regardless of
-// composition order. The experiments (Figure 6, the ablations) depend on
-// window-scoped counting; a regression test pins the composed schedule.
+// NewDelayEvery returns a deterministic delay/reorder injector.
+func NewDelayEvery(n int, d, jitter Time, side Side, seed int64) *DelayEvery {
+	return &DelayEvery{N: n, D: d, Jitter: jitter, Side: side, rng: rand.New(rand.NewSource(seed))}
+}
+
+// Packet implements Injector.
+func (d *DelayEvery) Packet(side Side, _, _ mid.ProcID, _ Time) Action {
+	if !nth(d.N, d.Side, side, &d.seen) {
+		return Action{}
+	}
+	delay := d.D
+	if d.Jitter > 0 && d.rng != nil {
+		delay += Time(d.rng.Int63n(int64(d.Jitter)))
+	}
+	if delay <= 0 {
+		return Action{}
+	}
+	return Action{Delay: delay, Kinds: KindSet(0).With(KindDelay)}
+}
+
+// DupEvery delivers Copies extra copies (at least one) of every N-th
+// packet on its side. The protocol's duplicate detection (history sequence
+// numbers) must absorb them silently.
+type DupEvery struct {
+	N      int
+	Copies int
+	Side   Side
+	seen   int
+	noCrash
+}
+
+// Packet implements Injector.
+func (d *DupEvery) Packet(side Side, _, _ mid.ProcID, _ Time) Action {
+	if !nth(d.N, d.Side, side, &d.seen) {
+		return Action{}
+	}
+	return Action{Dup: max(d.Copies, 1), Kinds: KindSet(0).With(KindDuplicate)}
+}
+
+// Partition splits the group into two sides for a time window: packets
+// crossing the cut are dropped at the send boundary in both directions;
+// traffic within a side flows normally. Crashes are unaffected. Heal by
+// letting the window end. A cut shorter than the K detection window is
+// just a burst of omissions; a longer one triggers the paper's split-brain
+// behaviour — each side excludes the other.
+type Partition struct {
+	From, To Time
+	// SideA holds the processes of one side; everyone else is on the other.
+	SideA map[mid.ProcID]bool
+	noCrash
+}
+
+// Packet implements Injector.
+func (p Partition) Packet(side Side, src, dst mid.ProcID, now Time) Action {
+	if side != AtSend || now < p.From || now >= p.To || p.SideA[src] == p.SideA[dst] {
+		return Action{}
+	}
+	return dropped(KindPartition)
+}
+
+// During confines an inner injector's packet faults to the window
+// [From, To). Crashes are not windowed — a crash inside the window is still
+// permanent — matching Figure 6's "failures are considered to occur during
+// the first 5 rtd". Outside the window the inner injector is not consulted
+// (see the package's scoping contract).
 type During struct {
-	From, To sim.Time
+	From, To Time
 	Inner    Injector
 }
 
 // Crashed implements Injector.
-func (d During) Crashed(p mid.ProcID, now sim.Time) bool {
-	return d.Inner.Crashed(p, now)
-}
+func (d During) Crashed(p mid.ProcID, now Time) bool { return d.Inner.Crashed(p, now) }
 
-// DropSend implements Injector.
-func (d During) DropSend(src, dst mid.ProcID, now sim.Time) bool {
+// Packet implements Injector.
+func (d During) Packet(side Side, src, dst mid.ProcID, now Time) Action {
 	if now < d.From || now >= d.To {
-		return false
+		return Action{}
 	}
-	return d.Inner.DropSend(src, dst, now)
+	return d.Inner.Packet(side, src, dst, now)
 }
 
-// DropRecv implements Injector.
-func (d During) DropRecv(src, dst mid.ProcID, now sim.Time) bool {
-	if now < d.From || now >= d.To {
-		return false
-	}
-	return d.Inner.DropRecv(src, dst, now)
-}
-
-// OnlyProc restricts an inner injector's omissions to packets sent by (for
-// send omissions) or addressed to (for receive omissions) one process,
-// modelling a single faulty process under the general omission model. Like
-// During, the filter scopes the inner injector's world: other processes'
-// packets never reach the inner injector, so its counters advance on the
-// faulty process's traffic only.
+// OnlyProc restricts an inner injector's packet faults to packets sent by
+// (at the send boundary) or addressed to (at the receive boundary) one
+// process, modelling a single faulty process under the general omission
+// model. Other processes' packets never reach the inner injector (see the
+// package's scoping contract).
 type OnlyProc struct {
 	Proc  mid.ProcID
 	Inner Injector
 }
 
 // Crashed implements Injector.
-func (o OnlyProc) Crashed(p mid.ProcID, now sim.Time) bool {
-	return o.Inner.Crashed(p, now)
+func (o OnlyProc) Crashed(p mid.ProcID, now Time) bool { return o.Inner.Crashed(p, now) }
+
+// Packet implements Injector.
+func (o OnlyProc) Packet(side Side, src, dst mid.ProcID, now Time) Action {
+	if side.proc(src, dst) != o.Proc {
+		return Action{}
+	}
+	return o.Inner.Packet(side, src, dst, now)
 }
 
-// DropSend implements Injector.
-func (o OnlyProc) DropSend(src, dst mid.ProcID, now sim.Time) bool {
-	return src == o.Proc && o.Inner.DropSend(src, dst, now)
-}
-
-// DropRecv implements Injector.
-func (o OnlyProc) DropRecv(src, dst mid.ProcID, now sim.Time) bool {
-	return dst == o.Proc && o.Inner.DropRecv(src, dst, now)
-}
-
-// Multi composes injectors: a failure occurs if any member injects it.
-// Every member is consulted on every packet — even after an earlier member
-// already injected the failure — so counter- and rng-based members advance
-// identically however the composition is ordered.
+// Multi composes injectors: a process is crashed if any member says so,
+// and packet verdicts merge (any drop wins, the longest delay wins,
+// duplicates accumulate). Every member is consulted on every packet — even
+// after an earlier member already dropped it — so counter- and rng-based
+// members advance identically however the composition is ordered.
 type Multi []Injector
 
 // Crashed implements Injector.
-func (m Multi) Crashed(p mid.ProcID, now sim.Time) bool {
+func (m Multi) Crashed(p mid.ProcID, now Time) bool {
+	crashed := false
 	for _, in := range m {
 		if in.Crashed(p, now) {
-			return true
+			crashed = true
 		}
 	}
-	return false
+	return crashed
 }
 
-// DropSend implements Injector.
-func (m Multi) DropSend(src, dst mid.ProcID, now sim.Time) bool {
-	drop := false
+// Packet implements Injector.
+func (m Multi) Packet(side Side, src, dst mid.ProcID, now Time) Action {
+	var act Action
 	for _, in := range m {
-		// Consult every member so counter-based injectors advance
-		// consistently regardless of composition order.
-		if in.DropSend(src, dst, now) {
-			drop = true
-		}
+		act.merge(in.Packet(side, src, dst, now))
 	}
-	return drop
-}
-
-// DropRecv implements Injector.
-func (m Multi) DropRecv(src, dst mid.ProcID, now sim.Time) bool {
-	drop := false
-	for _, in := range m {
-		if in.DropRecv(src, dst, now) {
-			drop = true
-		}
-	}
-	return drop
+	return act
 }
 
 // Crashes builds one Crash injector per entry of schedule, mapping process
-// to crash time.
-func Crashes(schedule map[mid.ProcID]sim.Time) Multi {
-	// Deterministic order for reproducibility of any rng-bearing composition.
+// to crash time, in ascending ProcID order so rng-bearing compositions
+// replay identically.
+func Crashes(schedule map[mid.ProcID]Time) Multi {
 	procs := make([]mid.ProcID, 0, len(schedule))
 	for p := range schedule {
 		procs = append(procs, p)
 	}
 	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
-	m := make(Multi, 0, len(schedule))
+	m := make(Multi, 0, len(procs))
 	for _, p := range procs {
 		m = append(m, Crash{Proc: p, At: schedule[p]})
 	}
 	return m
 }
-
-// Partition splits the group into two sides for a time window: packets
-// crossing the cut are dropped in both directions; traffic within a side
-// flows normally. Crashes are unaffected. Heal by letting the window end.
-type Partition struct {
-	From, To sim.Time
-	// SideA holds the processes of one side; everyone else is on the other.
-	SideA map[mid.ProcID]bool
-}
-
-// Crashed implements Injector.
-func (Partition) Crashed(mid.ProcID, sim.Time) bool { return false }
-
-// DropSend implements Injector.
-func (p Partition) DropSend(src, dst mid.ProcID, now sim.Time) bool {
-	if now < p.From || now >= p.To {
-		return false
-	}
-	return p.SideA[src] != p.SideA[dst]
-}
-
-// DropRecv implements Injector.
-func (Partition) DropRecv(mid.ProcID, mid.ProcID, sim.Time) bool { return false }

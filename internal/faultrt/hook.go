@@ -1,3 +1,22 @@
+// Package faultrt is the wall-clock front of internal/fault: it brings the
+// paper's general omission failure model (Section 3) to the live runtime
+// (internal/topics), where faults are injected at the transport boundary —
+// the in-process mesh consults the Hook where a frame would cross member
+// boundaries, the UDP runtime immediately before the socket write and after
+// the datagram read — so every injected failure is indistinguishable, to
+// the protocol, from a real network or process fault, and the protocol's
+// history-based recovery, attempts counters and suicide rule do the repair.
+//
+// The injector algebra itself (Crash, EveryNth, DelayEvery, DupEvery,
+// Partition, During, OnlyProc, Multi, ...) lives in internal/fault; this
+// package adds what only a wall-clock run needs. The Hook serializes
+// consultations from concurrent goroutines and stamps them with the elapsed
+// run time in nanoseconds (fault.Time), so an Action's Delay is a
+// time.Duration. Under real concurrency the consultation sequence varies
+// run to run, so end-to-end determinism lives one level up, in the seeded
+// Schedule (the planned faults are a pure function of the seed) and in the
+// Hook's serialized trace. The Checker audits the paper's uniform
+// invariants over the members' processing logs afterwards.
 package faultrt
 
 import (
@@ -6,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"urcgc/internal/fault"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
 )
@@ -17,7 +37,7 @@ type Event struct {
 	Op    string        // "send", "recv" or "crash"
 	Src   mid.ProcID
 	Dst   mid.ProcID // mid.None for crash events
-	Kinds KindSet
+	Kinds fault.KindSet
 }
 
 // String renders the event without its wall-clock offset, so traces from
@@ -35,11 +55,11 @@ type blameRec struct {
 	drops, delays, dups int64
 	crashedAt           time.Duration
 	crashed             bool
-	lastKinds           KindSet
+	lastKinds           fault.KindSet
 	lastAt              time.Duration
 }
 
-// Hook is the runtime-facing front of an Injector: it serializes
+// Hook is the runtime-facing front of a fault.Injector: it serializes
 // consultations (node goroutines consult concurrently), stamps them with
 // the elapsed run clock, counts them per kind — exported as
 // faultrt_injected_total{kind="..."} when a registry is given — records a
@@ -55,7 +75,7 @@ type Hook struct {
 	OnCrash func(p mid.ProcID, at time.Duration)
 
 	mu  sync.Mutex
-	inj Injector
+	inj fault.Injector
 
 	// now returns the elapsed run time; defaults to wall clock since
 	// NewHook. Tests substitute a deterministic clock.
@@ -65,8 +85,8 @@ type Hook struct {
 	trace    []Event
 	traceCap int
 	dropped  int64 // trace events beyond traceCap
-	injected [nKinds]int64
-	counters [nKinds]*obs.Counter
+	injected [fault.NumKinds]int64
+	counters [fault.NumKinds]*obs.Counter
 	events   *obs.EventLog
 
 	blame     map[mid.ProcID]*blameRec
@@ -80,7 +100,7 @@ const defaultTraceCap = 8192
 // receives the per-kind counters (faultrt_injected_total{kind}) and its
 // event log gets one line per injected fault, interleaving with the
 // lifecycle watchdog's stuck-span flags. The elapsed clock starts now.
-func NewHook(inj Injector, reg *obs.Registry) *Hook {
+func NewHook(inj fault.Injector, reg *obs.Registry) *Hook {
 	h := &Hook{
 		inj:       inj,
 		start:     time.Now(),
@@ -91,7 +111,7 @@ func NewHook(inj Injector, reg *obs.Registry) *Hook {
 	h.now = func() time.Duration { return time.Since(h.start) }
 	if reg != nil {
 		h.events = reg.Events()
-		for k := Kind(0); k < nKinds; k++ {
+		for k := fault.Kind(0); k < fault.NumKinds; k++ {
 			h.counters[k] = reg.Counter(obs.Labeled("faultrt_injected_total", "kind", k.String()))
 		}
 	}
@@ -116,7 +136,7 @@ func (h *Hook) Crashed(p mid.ProcID) bool {
 	}
 	h.mu.Lock()
 	now := h.now()
-	if !h.inj.Crashed(p, now) {
+	if !h.inj.Crashed(p, fault.Time(now)) {
 		h.mu.Unlock()
 		return false
 	}
@@ -127,7 +147,7 @@ func (h *Hook) Crashed(p mid.ProcID) bool {
 		r.crashed = true
 		r.crashedAt = now
 		h.record(Event{At: now, Op: "crash", Src: p, Dst: mid.None,
-			Kinds: KindSet(0).With(KindCrash)})
+			Kinds: fault.KindSet(0).With(fault.KindCrash)})
 		first = true
 	}
 	onCrash := h.OnCrash
@@ -140,42 +160,35 @@ func (h *Hook) Crashed(p mid.ProcID) bool {
 
 // Send returns the verdict for a datagram src->dst at the send boundary,
 // recording and counting any injected fault.
-func (h *Hook) Send(src, dst mid.ProcID) Action {
-	if h == nil {
-		return Action{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	now := h.now()
-	act := h.inj.Send(src, dst, now)
-	if act.Faulty() {
-		h.charge(src, now, act)
-		h.record(Event{At: now, Op: "send", Src: src, Dst: dst, Kinds: act.Kinds})
-	}
-	return act
+func (h *Hook) Send(src, dst mid.ProcID) fault.Action {
+	return h.packet(fault.AtSend, "send", src, dst)
 }
 
 // Recv returns the verdict for a datagram src->dst at the receive boundary,
 // recording and counting any injected fault.
-func (h *Hook) Recv(src, dst mid.ProcID) Action {
+func (h *Hook) Recv(src, dst mid.ProcID) fault.Action {
+	return h.packet(fault.AtRecv, "recv", src, dst)
+}
+
+func (h *Hook) packet(side fault.Side, op string, src, dst mid.ProcID) fault.Action {
 	if h == nil {
-		return Action{}
+		return fault.Action{}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	now := h.now()
-	act := h.inj.Recv(src, dst, now)
+	act := h.inj.Packet(side, src, dst, fault.Time(now))
 	if act.Faulty() {
-		// Receive faults starve the sender's messages: charge the source,
-		// whose MIDs are what a stuck span will be blocked on.
+		// Faults on either side starve the sender's messages: charge the
+		// source, whose MIDs are what a stuck span will be blocked on.
 		h.charge(src, now, act)
-		h.record(Event{At: now, Op: "recv", Src: src, Dst: dst, Kinds: act.Kinds})
+		h.record(Event{At: now, Op: op, Src: src, Dst: dst, Kinds: act.Kinds})
 	}
 	return act
 }
 
 // charge updates the per-source blame record. Callers hold h.mu.
-func (h *Hook) charge(src mid.ProcID, now time.Duration, act Action) {
+func (h *Hook) charge(src mid.ProcID, now time.Duration, act fault.Action) {
 	r := h.blameFor(src)
 	if act.Drop {
 		r.drops++
@@ -202,7 +215,7 @@ func (h *Hook) blameFor(p mid.ProcID) *blameRec {
 // record appends one trace event and bumps the per-kind counters. Callers
 // hold h.mu.
 func (h *Hook) record(e Event) {
-	for k := Kind(0); k < nKinds; k++ {
+	for k := fault.Kind(0); k < fault.NumKinds; k++ {
 		if !e.Kinds.Has(k) {
 			continue
 		}
@@ -252,13 +265,13 @@ func (h *Hook) TraceString() string {
 
 // Injected returns the per-kind injected-fault counts.
 func (h *Hook) Injected() map[string]int64 {
-	out := make(map[string]int64, nKinds)
+	out := make(map[string]int64, fault.NumKinds)
 	if h == nil {
 		return out
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for k := Kind(0); k < nKinds; k++ {
+	for k := fault.Kind(0); k < fault.NumKinds; k++ {
 		out[k.String()] = h.injected[k]
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"urcgc/internal/fault"
 	"urcgc/internal/mid"
 )
 
@@ -43,10 +44,10 @@ type Schedule struct {
 	Bursts []Burst
 
 	// Background delay (reordering) and duplication, full-run.
-	DelayNth  int
-	DelayBy   time.Duration
-	DelayJit  time.Duration
-	DupNth    int
+	DelayNth int
+	DelayBy  time.Duration
+	DelayJit time.Duration
+	DupNth   int
 }
 
 // NewSchedule expands a seed into a chaos plan for an n-member group
@@ -102,22 +103,23 @@ func NewSchedule(seed int64, n int, duration, round time.Duration, k int) *Sched
 	return s
 }
 
-// Injector builds a fresh composed injector realizing the plan. Counter
-// state lives in the returned injector, so each call starts a new replay.
-func (s *Schedule) Injector() Injector {
-	m := Multi{
-		CrashAt{Proc: s.CrashProc, At: s.CrashAt},
-		Partition{From: s.PartFrom, To: s.PartTo, SideA: s.PartSideA},
+// Injector builds a fresh composed injector realizing the plan on the
+// Hook's nanosecond clock. Counter state lives in the returned injector,
+// so each call starts a new replay.
+func (s *Schedule) Injector() fault.Injector {
+	m := fault.Multi{
+		fault.Crash{Proc: s.CrashProc, At: fault.Time(s.CrashAt)},
+		fault.Partition{From: fault.Time(s.PartFrom), To: fault.Time(s.PartTo), SideA: s.PartSideA},
 	}
 	for _, b := range s.Bursts {
-		m = append(m, During{From: b.From, To: b.To,
-			Inner: &DropEvery{N: b.Nth, Side: AtSend}})
+		m = append(m, fault.During{From: fault.Time(b.From), To: fault.Time(b.To),
+			Inner: &fault.EveryNth{N: b.Nth, Side: fault.AtSend}})
 	}
 	if s.DelayNth > 0 {
-		m = append(m, NewDelayEvery(s.DelayNth, s.DelayBy, s.DelayJit, AtRecv, s.Seed+1))
+		m = append(m, fault.NewDelayEvery(s.DelayNth, fault.Time(s.DelayBy), fault.Time(s.DelayJit), fault.AtRecv, s.Seed+1))
 	}
 	if s.DupNth > 0 {
-		m = append(m, &DupEvery{N: s.DupNth, Copies: 1, Side: AtSend})
+		m = append(m, &fault.DupEvery{N: s.DupNth, Copies: 1, Side: fault.AtSend})
 	}
 	return m
 }

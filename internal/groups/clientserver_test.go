@@ -75,7 +75,7 @@ func TestReplicatedCallsAgree(t *testing.T) {
 }
 
 func TestCallsSurviveServerCrash(t *testing.T) {
-	svc, c := newCounterService(t, 5, 2, fault.Crash{Proc: 4, At: sim.StartOfSubrun(5)})
+	svc, c := newCounterService(t, 5, 2, fault.Crash{Proc: 4, At: fault.Time(sim.StartOfSubrun(5))})
 	calls := 8
 	_, err := c.Run(core.RunOptions{
 		MaxRounds: 400, MinRounds: 2 * 2 * calls,

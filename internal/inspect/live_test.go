@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"urcgc/internal/core"
+	"urcgc/internal/fault"
 	"urcgc/internal/faultrt"
 	"urcgc/internal/health"
 	"urcgc/internal/mid"
@@ -138,8 +139,8 @@ func TestInspectPartitionRecovery(t *testing.T) {
 		to    = 5500 * time.Millisecond
 	)
 	reg := obs.New()
-	hook := faultrt.NewHook(faultrt.Partition{
-		From: from, To: to, SideA: map[mid.ProcID]bool{4: true},
+	hook := faultrt.NewHook(fault.Partition{
+		From: fault.Time(from), To: fault.Time(to), SideA: map[mid.ProcID]bool{4: true},
 	}, reg)
 	// K far above the subruns a partition window can span, so neither side
 	// declares the other crashed; SelfExclusion off so nobody leaves.

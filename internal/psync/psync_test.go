@@ -83,7 +83,7 @@ func TestNakRepairsOmissions(t *testing.T) {
 		Config: Config{N: 4, K: 4},
 		Seed:   3,
 		Injector: fault.During{
-			From: 0, To: 8 * sim.TicksPerRTD,
+			From: 0, To: fault.Time(8 * sim.TicksPerRTD),
 			Inner: fault.NewRate(0.05, fault.AtSend, 99),
 		},
 	})
@@ -117,7 +117,7 @@ func TestFlowControlDeletesBeyondBound(t *testing.T) {
 		Config: Config{N: 4, K: 40, WaitBound: 2},
 		Seed:   4,
 		Injector: fault.During{
-			From: 0, To: 10 * sim.TicksPerRTD,
+			From: 0, To: fault.Time(10 * sim.TicksPerRTD),
 			Inner: fault.OnlyProc{Proc: 3, Inner: fault.NewRate(0.5, fault.AtRecv, 7)},
 		},
 	})
@@ -141,7 +141,7 @@ func TestMaskOutOnCrash(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config:   Config{N: 4, K: 2},
 		Seed:     5,
-		Injector: fault.Crash{Proc: 2, At: failAt},
+		Injector: fault.Crash{Proc: 2, At: fault.Time(failAt)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"urcgc/internal/capture"
 	"urcgc/internal/chaos"
+	"urcgc/internal/fault"
 	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 )
@@ -39,9 +40,9 @@ func TestEndToEndPartitionForensics(t *testing.T) {
 	// which survivors' audits must flag in both directions.
 	sched := faultrt.NewSchedule(seed, n, dur, round, k)
 	victim := (sched.CrashProc + 1) % n
-	cut := faultrt.Partition{
-		From:  dur / 3,
-		To:    time.Hour,
+	cut := fault.Partition{
+		From:  fault.Time(dur / 3),
+		To:    fault.Time(time.Hour),
 		SideA: map[mid.ProcID]bool{victim: true},
 	}
 

@@ -6,7 +6,7 @@ import (
 
 	"urcgc/internal/capture"
 	"urcgc/internal/causal"
-	"urcgc/internal/faultrt"
+	"urcgc/internal/fault"
 	"urcgc/internal/mid"
 	"urcgc/internal/wire"
 )
@@ -82,7 +82,7 @@ func TestReplayReproducesIngressDrop(t *testing.T) {
 	rings[0].Record(capture.DirEgress, 0, mid.None, capture.Sent, 0, f)
 	rings[1].Record(capture.DirIngress, 0, 0, capture.Delivered, 0, f)
 	dropSeq := rings[2].Record(capture.DirIngress, 0, 0, capture.FaultDrop,
-		faultrt.KindSet(0).With(faultrt.KindDrop), f)
+		fault.KindSet(0).With(fault.KindDrop), f)
 
 	res, err := Run(snapshots(rings))
 	if err != nil {
@@ -120,7 +120,7 @@ func TestReplayBlamesSenderSideDrop(t *testing.T) {
 	f := data(t, 0, 1)
 	rings[0].Record(capture.DirEgress, 0, mid.None, capture.Sent, 0, f)
 	rings[0].Record(capture.DirEgress, 0, 2, capture.FaultDrop,
-		faultrt.KindSet(0).With(faultrt.KindPartition), f)
+		fault.KindSet(0).With(fault.KindPartition), f)
 	rings[1].Record(capture.DirIngress, 0, 0, capture.Delivered, 0, f)
 
 	res, err := Run(snapshots(rings))
@@ -173,7 +173,7 @@ func TestReplayCrashMarkStopsFeed(t *testing.T) {
 		rings[i].Record(capture.DirIngress, 0, 0, capture.Delivered, 0, f1)
 	}
 	rings[1].Record(capture.DirIngress, 0, 0, capture.Delivered, 0, f2)
-	rings[2].Mark(capture.Crash, faultrt.KindSet(0).With(faultrt.KindCrash))
+	rings[2].Mark(capture.Crash, fault.KindSet(0).With(fault.KindCrash))
 	rings[2].Record(capture.DirIngress, 0, 0, capture.Delivered, 0, f2) // post-mortem
 
 	res, err := Run(snapshots(rings))

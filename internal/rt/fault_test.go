@@ -8,6 +8,7 @@ import (
 	"urcgc/internal/topics"
 
 	"urcgc/internal/core"
+	"urcgc/internal/fault"
 	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
@@ -20,11 +21,11 @@ import (
 // must be live on the registry.
 func TestMeshFaultHookCrashAndConverge(t *testing.T) {
 	reg := obs.New()
-	hook := faultrt.NewHook(faultrt.Multi{
-		faultrt.CrashAt{Proc: 2, At: 30 * time.Millisecond},
-		&faultrt.DropEvery{N: 40, Side: faultrt.AtSend},
-		faultrt.NewDelayEvery(25, time.Millisecond, time.Millisecond, faultrt.AtRecv, 5),
-		&faultrt.DupEvery{N: 30, Copies: 1, Side: faultrt.AtSend},
+	hook := faultrt.NewHook(fault.Multi{
+		fault.Crash{Proc: 2, At: fault.Time(30 * time.Millisecond)},
+		&fault.EveryNth{N: 40, Side: fault.AtSend},
+		fault.NewDelayEvery(25, fault.Time(time.Millisecond), fault.Time(time.Millisecond), fault.AtRecv, 5),
+		&fault.DupEvery{N: 30, Copies: 1, Side: fault.AtSend},
 	}, reg)
 	cfg := liveConfig(4)
 	cfg.Metrics = reg
@@ -87,10 +88,10 @@ func TestUDPGroupConvergesUnderFaults(t *testing.T) {
 			Self:          mid.ProcID(i),
 			Peers:         peers,
 			RoundDuration: 3 * time.Millisecond,
-			Fault: faultrt.NewHook(faultrt.Multi{
-				&faultrt.DropEvery{N: 25, Side: faultrt.AtSend},
-				&faultrt.DropEvery{N: 25, Side: faultrt.AtRecv},
-				&faultrt.DupEvery{N: 20, Copies: 1, Side: faultrt.AtSend},
+			Fault: faultrt.NewHook(fault.Multi{
+				&fault.EveryNth{N: 25, Side: fault.AtSend},
+				&fault.EveryNth{N: 25, Side: fault.AtRecv},
+				&fault.DupEvery{N: 20, Copies: 1, Side: fault.AtSend},
 			}, nil),
 		})
 		if err != nil {

@@ -74,7 +74,7 @@ func auditRun(t *testing.T, n int, udp bool) wireAudit {
 			}
 		}
 	}
-	stop() // every shard has exited: no frame is half marshaled, half recorded
+	stop() // every protocol loop has exited: no frame is half marshaled, half recorded
 	a := wireAudit{marshals: wire.MarshalCalls() - before}
 	for _, ring := range cfg.Captures {
 		for _, r := range ring.Snapshot().Records {

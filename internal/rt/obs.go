@@ -2,7 +2,7 @@
 // shares, independent of how frames move: the per-entity instrument set
 // (NodeObs), the lifecycle stage hooks (InstallLifecycle), the coalescing
 // sender (Coalescer) and the race-free protocol sample served on /status
-// (Status). The runtime itself — shard loops, mesh and UDP backends, fault
+// (Status). The runtime itself — the protocol loop, mesh and UDP backends, fault
 // and capture hooks — is internal/topics.
 package rt
 

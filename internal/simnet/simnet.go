@@ -101,23 +101,31 @@ func (nw *Network) Load() *metrics.Load { return nw.load }
 // Drops returns the number of packets destroyed by the failure injector.
 func (nw *Network) Drops() int { return nw.drops }
 
+// Crashed reports whether the failure injector has fail-stopped p by now.
+func (nw *Network) Crashed(p mid.ProcID) bool { return nw.inj.Crashed(p, fault.Time(nw.eng.Now())) }
+
 // Send transmits one datagram from src to dst. Sends from a crashed process
 // or to oneself are ignored (processes handle their own messages locally).
+// The injector's send-side verdict is honoured in full: a drop destroys the
+// datagram, a delay (in ticks) adds to its latency, and Dup extra copies
+// arrive alongside it.
 func (nw *Network) Send(src, dst mid.ProcID, pdu wire.PDU) {
 	if src == dst {
 		return
 	}
-	now := nw.eng.Now()
-	if nw.inj.Crashed(src, now) {
+	if nw.Crashed(src) {
 		return
 	}
 	nw.load.Add(pdu.Kind(), pdu.EncodedSize())
-	if nw.inj.DropSend(src, dst, now) {
+	act := nw.inj.Packet(fault.AtSend, src, dst, fault.Time(nw.eng.Now()))
+	if act.Drop {
 		nw.drops++
 		return
 	}
-	d := nw.latency(src, dst, nw.eng)
-	nw.eng.After(d, func() { nw.deliver(src, dst, pdu) })
+	d := nw.latency(src, dst, nw.eng) + sim.Time(act.Delay)
+	for c := 0; c <= act.Dup; c++ {
+		nw.eng.After(d, func() { nw.deliver(src, dst, pdu) })
+	}
 }
 
 // Multicast transmits the PDU to every destination with independent
@@ -129,21 +137,39 @@ func (nw *Network) Multicast(src mid.ProcID, dsts []mid.ProcID, pdu wire.PDU) {
 	}
 }
 
+// deliver hands an arriving datagram to dst under the receive-side
+// verdict: a drop destroys it, a delay holds it back for that many more
+// ticks, and Dup extra copies follow the original into the handler.
 func (nw *Network) deliver(src, dst mid.ProcID, pdu wire.PDU) {
-	now := nw.eng.Now()
-	if nw.inj.Crashed(dst, now) || nw.inj.DropRecv(src, dst, now) {
+	if nw.Crashed(dst) {
 		nw.drops++
 		return
 	}
+	act := nw.inj.Packet(fault.AtRecv, src, dst, fault.Time(nw.eng.Now()))
+	switch {
+	case act.Drop:
+		nw.drops++
+	case act.Delay > 0:
+		nw.eng.After(sim.Time(act.Delay), func() { nw.handOver(src, dst, pdu, act.Dup) })
+	default:
+		nw.handOver(src, dst, pdu, act.Dup)
+	}
+}
+
+// handOver runs dst's handler on the datagram and on dup extra copies,
+// unless dst crashed while a delayed datagram was held back.
+func (nw *Network) handOver(src, dst mid.ProcID, pdu wire.PDU, dup int) {
 	h := nw.handlers[dst]
-	if h == nil {
+	if h == nil || nw.Crashed(dst) {
 		nw.drops++
 		return
 	}
-	if nw.OnDeliver != nil {
-		nw.OnDeliver(src, dst, pdu)
+	for c := 0; c <= dup; c++ {
+		if nw.OnDeliver != nil {
+			nw.OnDeliver(src, dst, pdu)
+		}
+		h.Recv(src, pdu)
 	}
-	h.Recv(src, pdu)
 }
 
 // MatrixLatency draws per-pair latencies from a base matrix plus uniform

@@ -125,6 +125,70 @@ func TestSendOmission(t *testing.T) {
 	}
 }
 
+// TestDupAndDelayVerdicts checks that the network honours a whole verdict,
+// not just its drop bit: a duplicated datagram arrives 1+Dup times, a
+// delayed one arrives exactly Delay ticks after its undelayed twin, on
+// either side of the wire.
+func TestDupAndDelayVerdicts(t *testing.T) {
+	const lat, delay = 100, 300
+	cases := []struct {
+		name string
+		inj  fault.Injector
+		want []sim.Time // arrival times of the datagrams, in order
+	}{
+		{"clean", fault.None{}, []sim.Time{lat, lat}},
+		{"dup at send", &fault.DupEvery{N: 2, Copies: 2, Side: fault.AtSend}, []sim.Time{lat, lat, lat, lat}},
+		{"dup at recv", &fault.DupEvery{N: 1, Copies: 1, Side: fault.AtRecv}, []sim.Time{lat, lat, lat, lat}},
+		{"delay at send", fault.NewDelayEvery(1, delay, 0, fault.AtSend, 1), []sim.Time{lat + delay, lat + delay}},
+		{"delay at recv", fault.NewDelayEvery(2, delay, 0, fault.AtRecv, 1), []sim.Time{lat, lat + delay}},
+		{"dup and delay", fault.Multi{
+			&fault.DupEvery{N: 1, Copies: 1, Side: fault.AtSend},
+			fault.NewDelayEvery(2, delay, 0, fault.AtSend, 1),
+		}, []sim.Time{lat, lat, lat + delay, lat + delay}},
+	}
+	for _, c := range cases {
+		eng := sim.NewEngine(1)
+		nw := New(eng, 2, c.inj)
+		nw.SetLatency(FixedLatency(lat))
+		rec := &recorder{eng: eng}
+		nw.Attach(1, rec)
+		nw.Send(0, 1, data(0, 1))
+		nw.Send(0, 1, data(0, 2))
+		eng.Run()
+		if len(rec.at) != len(c.want) {
+			t.Errorf("%s: %d arrivals at %v, want %v", c.name, len(rec.at), rec.at, c.want)
+			continue
+		}
+		for i := range c.want {
+			if rec.at[i] != c.want[i] {
+				t.Errorf("%s: arrivals at %v, want %v", c.name, rec.at, c.want)
+				break
+			}
+		}
+		if nw.Load().TotalMsgs() != 2 || nw.Drops() != 0 {
+			t.Errorf("%s: load %d drops %d, want 2 offered and none dropped", c.name, nw.Load().TotalMsgs(), nw.Drops())
+		}
+	}
+}
+
+// TestDelayedDatagramToCrashedReceiver checks that a datagram held back by
+// a receive-side delay is absorbed if its receiver crashes meanwhile.
+func TestDelayedDatagramToCrashedReceiver(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nw := New(eng, 2, fault.Multi{
+		fault.NewDelayEvery(1, 300, 0, fault.AtRecv, 1),
+		fault.Crash{Proc: 1, At: 200},
+	})
+	nw.SetLatency(FixedLatency(100))
+	rec := &recorder{eng: eng}
+	nw.Attach(1, rec)
+	nw.Send(0, 1, data(0, 1))
+	eng.Run()
+	if len(rec.got) != 0 || nw.Drops() != 1 {
+		t.Errorf("deliveries %d drops %d, want the delayed datagram absorbed", len(rec.got), nw.Drops())
+	}
+}
+
 func TestDeliveryWithinRound(t *testing.T) {
 	eng := sim.NewEngine(7)
 	nw := New(eng, 2, nil)

@@ -17,7 +17,7 @@ import (
 // ring — its egress, with the send-side verdict, and its ingress from the
 // other member — never another member's traffic.
 func TestMeshCapturePerMember(t *testing.T) {
-	cfg := meshConfig(2, 1, 1)
+	cfg := meshConfig(2, 1)
 	cfg.Captures = []*capture.Ring{
 		capture.New(capture.Options{Node: 0, N: 2, K: cfg.K, R: cfg.R}),
 		capture.New(capture.Options{Node: 1, N: 2, K: cfg.K, R: cfg.R}),
@@ -83,7 +83,7 @@ func (discardLink) send(mid.ProcID, *sharedFrame) {}
 // buffer per peer, which would blow well past the budget. Each receiver's
 // own decode is the ingress path's cost, not the fan-out's.
 func TestMeshBroadcastAllocBudget(t *testing.T) {
-	c, err := NewMultiCluster(meshConfig(5, 1, 1))
+	c, err := NewMultiCluster(meshConfig(5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

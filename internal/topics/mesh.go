@@ -50,7 +50,7 @@ func NewMultiCluster(cfg Config) (*MultiCluster, error) {
 	return c, nil
 }
 
-// Start launches every member's shard loops and the lockstep clock.
+// Start launches every member's protocol loop and the lockstep clock.
 func (c *MultiCluster) Start() {
 	for _, n := range c.nodes {
 		n.Start()
@@ -78,7 +78,7 @@ func (c *MultiCluster) N() int { return c.cfg.N }
 // Restart revives member i as a joiner in every hosted group — the
 // kill-and-restart experiment. Each fresh incarnation solicits a live
 // sponsor, installs the state transfer and re-enters its group's view
-// through a decision. The swaps happen on the owning shard goroutines, so
+// through a decision. The swaps happen on the member's protocol loop, so
 // in-flight frames never see a half-built entity; the killed flag clears
 // afterwards, so the caller must first make sure any Fault injector no
 // longer reports the member crashed, or the next round re-kills it.
@@ -125,10 +125,10 @@ func (c *MultiCluster) clock() {
 			n.crashCheck()
 			for _, s := range n.sessions {
 				s := s
-				s.obs.SampleInbox(len(s.shard.inbox))
+				s.obs.SampleInbox(len(n.inbox))
 				done := make(chan struct{})
 				select {
-				case s.shard.inbox <- func() { s.tick(r); close(done) }:
+				case n.inbox <- func() { s.tick(r); close(done) }:
 					dones = append(dones, done)
 				case <-c.stopCh:
 					return

@@ -22,7 +22,7 @@ import (
 func TestMultiGroupObservability(t *testing.T) {
 	const n, groups = 3, 3
 	reg := obs.New()
-	cfg := meshConfig(n, groups, 2)
+	cfg := meshConfig(n, groups)
 	cfg.Metrics = reg
 	cfg.Lifecycle = &lifecycle.Options{SlowThreshold: 10 * time.Second}
 	c, err := NewMultiCluster(cfg)
@@ -98,7 +98,7 @@ func TestMultiGroupObservability(t *testing.T) {
 // while group 1's messages never reach a remote member (a sender's own
 // message can still self-deliver, so the remote frontier is the witness).
 func TestDropFramePartitionsOneGroup(t *testing.T) {
-	cfg := meshConfig(3, 2, 2)
+	cfg := meshConfig(3, 2)
 	cfg.DropFrame = func(group uint32, src, dst mid.ProcID) bool { return group == 1 }
 	c, err := NewMultiCluster(cfg)
 	if err != nil {
@@ -148,7 +148,6 @@ func TestTopicsDisabledObsAllocFree(t *testing.T) {
 	cfg := Config{
 		Config: core.Config{N: 3, K: 3, R: 8, SelfExclusion: true},
 		Groups: 2,
-		Shards: 1,
 	}
 	cfg.fill(true)
 	if err := cfg.validate(); err != nil {
@@ -158,7 +157,7 @@ func TestTopicsDisabledObsAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shards are never started: the driver below is the only goroutine
+	// The loop is never started: the driver below is the only goroutine
 	// touching the process, satisfying the single-owner contract.
 	s := m.sessions[1]
 	if s.gobs != nil || s.tracer != nil || s.stableWait != nil {

@@ -7,26 +7,28 @@
 // byte-identical to the envelope-free framing, so a single-group member is
 // simply G=1.
 //
-// The runtime is sharded: groups hash onto S shard loops, each shard a
-// goroutine owning its groups' core.Process instances, so G groups cost S
-// protocol goroutines rather than G and independent groups make progress
-// in parallel. Both backends share one egress (frame once, consult the
-// fault hook per destination, capture) and one ingress (validate, consult
-// the fault hook, decode, dispatch onto the owning shard); they differ
-// only in how a frame reaches a peer and in what drives the rounds.
+// One protocol loop per member: a single goroutine owns every hosted
+// group's core.Process, so G groups cost one protocol goroutine and the
+// single-owner core.Process contract holds without locks. (Hashing groups
+// onto several loops was measured and bought nothing: the confirm latency,
+// not the CPU, bounds a member's throughput.) Both backends share one
+// egress (frame once, consult the fault hook per destination, capture) and
+// one ingress (validate, consult the fault hook, decode, dispatch onto the
+// loop); they differ only in how a frame reaches a peer and in what drives
+// the rounds.
 //
 // Demux ownership rule: a received frame never crosses a goroutine
 // boundary. It is validated and decoded into a self-owned PDU on the
-// goroutine that received it; only that PDU travels into a shard inbox.
+// goroutine that received it; only that PDU travels into the loop's inbox.
 // Symmetrically, outgoing frames are pooled buffers, refcounted across a
 // broadcast fan-out, that return to the wire pool after the last write.
 package topics
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -35,6 +37,7 @@ import (
 	"urcgc/internal/capture"
 	"urcgc/internal/causal"
 	"urcgc/internal/core"
+	"urcgc/internal/fault"
 	"urcgc/internal/faultrt"
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/mid"
@@ -54,10 +57,6 @@ type Config struct {
 	// Groups is how many independent groups (ids 0..Groups-1) this member
 	// hosts. Default 1.
 	Groups int
-	// Shards is how many shard loops carry the groups. Groups hash onto
-	// shards (group mod Shards); each shard is one goroutine owning its
-	// groups' protocol entities. Default min(Groups, GOMAXPROCS).
-	Shards int
 	// Self is this member's identity in every group. Ignored by the mesh,
 	// which builds members 0..N-1.
 	Self mid.ProcID
@@ -69,11 +68,12 @@ type Config struct {
 	RoundDuration time.Duration
 	// BatchWindow enables each group's coalescing sender: Sends arriving
 	// within this window (or until the BatchMax / BatchBytes budgets fill)
-	// enter the shard as one event and leave the next subrun as DataBatch
+	// enter the loop as one event and leave the next subrun as DataBatch
 	// frames. Zero disables coalescing.
 	BatchWindow time.Duration
-	// InboxDepth bounds each shard's event queue (default 4096). A full
-	// shard inbox drops datagrams — an omission the protocol repairs.
+	// InboxDepth bounds the member's inbox, the protocol loop's event queue
+	// (default 4096). A full inbox drops datagrams — an omission the
+	// protocol repairs.
 	InboxDepth int
 	// IndicationDepth bounds each group's indication queue (default 1024).
 	IndicationDepth int
@@ -85,7 +85,7 @@ type Config struct {
 	// Lifecycle, when non-nil, enables per-MID span tracking on every
 	// group: each session gets its own group-tagged lifecycle.Tracer. The
 	// watchdog Blame defaults to the fault hook's when Fault is set, else
-	// to naming the group and its shard. Nil keeps the hot path free of
+	// to naming the group. Nil keeps the hot path free of
 	// tracing branches.
 	Lifecycle *lifecycle.Options
 	// Fault, when non-nil, consults a wall-clock fault injector at the
@@ -110,15 +110,15 @@ type Config struct {
 	// Logf receives throttled operator-visible warnings; nil means
 	// log.Printf.
 	Logf func(format string, args ...any)
-	// JoinInstalled, when non-nil, fires on the owning shard goroutine the
+	// JoinInstalled, when non-nil, fires on the protocol loop the
 	// moment a joining incarnation installs the sponsor's state transfer
 	// in one group, before it processes anything there.
 	JoinInstalled func(node mid.ProcID, group uint32, stable mid.SeqVector)
-	// Joined, when non-nil, fires on the owning shard goroutine each time
+	// Joined, when non-nil, fires on the protocol loop each time
 	// a joining member is re-admitted into one hosted group. Groups rejoin
 	// independently: a member is fully back once every group has fired.
 	Joined func(node mid.ProcID, group uint32)
-	// FastForwarded, when non-nil, fires on the owning shard goroutine when
+	// FastForwarded, when non-nil, fires on the protocol loop when
 	// recovery tells a member that of's sequence through to was purged as
 	// uniformly stable, so its frontier skipped the gap.
 	FastForwarded func(node mid.ProcID, group uint32, of mid.ProcID, to mid.Seq)
@@ -127,12 +127,6 @@ type Config struct {
 func (c *Config) fill(mesh bool) {
 	if c.Groups == 0 {
 		c.Groups = 1
-	}
-	if c.Shards == 0 {
-		c.Shards = c.Groups
-		if p := runtime.GOMAXPROCS(0); c.Shards > p {
-			c.Shards = p
-		}
 	}
 	if c.RoundDuration == 0 {
 		if mesh {
@@ -165,9 +159,6 @@ func (c *Config) validate() error {
 	if c.Groups < 1 || c.Groups > wire.MaxGroupID {
 		return fmt.Errorf("topics: %d groups outside [1,%d]", c.Groups, int64(wire.MaxGroupID))
 	}
-	if c.Shards < 1 {
-		return fmt.Errorf("topics: %d shards", c.Shards)
-	}
 	return nil
 }
 
@@ -178,7 +169,17 @@ type Indication struct {
 	Msg   causal.Message
 }
 
-var errStopped = fmt.Errorf("topics: node stopped")
+// Terminal Send errors, matched with errors.Is. A session that sees one
+// should stop sending to that member or group.
+var (
+	// ErrStopped: the member was stopped.
+	ErrStopped = errors.New("topics: node stopped")
+	// ErrKilled: the member is fail-stopped (Kill, or a scheduled crash).
+	ErrKilled = errors.New("fail-stopped")
+	// ErrLeft: the member halted itself in the group (self-exclusion or
+	// suicide) and stays out of it until restarted.
+	ErrLeft = errors.New("left group")
+)
 
 // link carries one framed datagram to member dst: the mesh demultiplexes
 // it straight into the peer, UDP queues it on the shared sender. A link
@@ -188,11 +189,11 @@ type link interface {
 }
 
 // MultiNode is one member of every hosted group: G protocol entities over
-// one transport and S shard loops.
+// one transport, all owned by one protocol loop.
 type MultiNode struct {
 	cfg      Config
 	sessions []*session
-	shards   []*shard
+	inbox    chan func() // the protocol loop's event queue
 	link     link
 	capture  *capture.Ring // nil disables frame capture
 	killed   atomic.Bool
@@ -205,21 +206,18 @@ type MultiNode struct {
 	warnTh   obs.Throttle
 }
 
-// newMultiNode prepares the member's shards and every group's protocol
+// newMultiNode prepares the member's loop and every group's protocol
 // entity; the caller supplies the backend's link.
 func newMultiNode(cfg Config, l link) (*MultiNode, error) {
 	m := &MultiNode{
 		cfg:    cfg,
+		inbox:  make(chan func(), cfg.InboxDepth),
 		link:   l,
 		stopCh: make(chan struct{}),
 		mobs:   newMultiObs(cfg.Metrics),
 	}
 	if int(cfg.Self) < len(cfg.Captures) {
 		m.capture = cfg.Captures[cfg.Self]
-	}
-	m.shards = make([]*shard, cfg.Shards)
-	for i := range m.shards {
-		m.shards[i] = &shard{m: m, inbox: make(chan func(), cfg.InboxDepth)}
 	}
 	m.sessions = make([]*session, cfg.Groups)
 	for g := range m.sessions {
@@ -232,14 +230,11 @@ func newMultiNode(cfg Config, l link) (*MultiNode, error) {
 	return m, nil
 }
 
-// Start launches the shard loops and, over UDP, the reader, the round
+// Start launches the protocol loop and, over UDP, the reader, the round
 // clock and the shared sender. Mesh rounds are driven by the cluster.
 func (m *MultiNode) Start() {
-	for _, sh := range m.shards {
-		sh := sh
-		m.wg.Add(1)
-		go func() { defer m.wg.Done(); sh.loop() }()
-	}
+	m.wg.Add(1)
+	go func() { defer m.wg.Done(); m.loop() }()
 	if m.udp != nil {
 		m.udp.start(m)
 	}
@@ -265,9 +260,6 @@ func (m *MultiNode) ID() mid.ProcID { return m.cfg.Self }
 
 // Groups returns how many groups this member hosts.
 func (m *MultiNode) Groups() int { return len(m.sessions) }
-
-// Shards returns how many shard loops carry them.
-func (m *MultiNode) Shards() int { return len(m.shards) }
 
 // Kill fail-stops the member in every hosted group: from now on it neither
 // ticks, nor emits, nor absorbs frames, and its Sends fail — exactly a
@@ -297,7 +289,7 @@ func (m *MultiNode) Send(ctx context.Context, group uint32, payload []byte, deps
 }
 
 // SendCausal is Send with the conservative depend-on-everything-seen
-// labelling computed inside the owning shard.
+// labelling computed inside the protocol loop.
 func (m *MultiNode) SendCausal(ctx context.Context, group uint32, payload []byte) (mid.MID, error) {
 	s, err := m.session(group)
 	if err != nil {
@@ -326,7 +318,7 @@ func (m *MultiNode) Left(group uint32) (core.LeaveReason, bool) {
 	return s.left()
 }
 
-// Snapshot runs fn on the shard goroutine that owns one group's protocol
+// Snapshot runs fn on the protocol loop, which owns every group's protocol
 // entity, and waits for it. Nothing reached through p may be retained
 // after fn returns without cloning; GroupStatus packages a cloned sample.
 func (m *MultiNode) Snapshot(ctx context.Context, group uint32, fn func(p *core.Process)) error {
@@ -336,9 +328,9 @@ func (m *MultiNode) Snapshot(ctx context.Context, group uint32, fn func(p *core.
 	}
 	done := make(chan struct{})
 	select {
-	case s.shard.inbox <- func() { fn(s.proc); close(done) }:
+	case m.inbox <- func() { fn(s.proc); close(done) }:
 	case <-m.stopCh:
-		return errStopped
+		return ErrStopped
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -346,7 +338,7 @@ func (m *MultiNode) Snapshot(ctx context.Context, group uint32, fn func(p *core.
 	case <-done:
 		return nil
 	case <-m.stopCh:
-		return errStopped
+		return ErrStopped
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -443,50 +435,44 @@ func (m *MultiNode) crashCheck() {
 	}
 }
 
-// shard is one loop goroutine owning the protocol entities of every group
-// hashed onto it. Everything a session's core.Process does happens on its
-// shard's goroutine, preserving the single-owner concurrency contract.
-type shard struct {
-	m     *MultiNode
-	inbox chan func()
-}
-
-func (sh *shard) loop() {
+// loop is the member's protocol goroutine: everything any session's
+// core.Process does happens here, preserving the single-owner concurrency
+// contract.
+func (m *MultiNode) loop() {
 	for {
 		select {
-		case <-sh.m.stopCh:
+		case <-m.stopCh:
 			return
-		case fn := <-sh.inbox:
+		case fn := <-m.inbox:
 			fn()
 		}
 	}
 }
 
-// enqueue hands a datagram closure to the shard loop on behalf of one
-// group's session; a full inbox drops it, like any datagram, charging
-// both the shared counter and the group's own. Reports whether it was
-// accepted.
-func (sh *shard) enqueue(s *session, fn func()) bool {
+// enqueue hands a datagram closure to the loop on behalf of one group's
+// session; a full inbox drops it, like any datagram, charging both the
+// shared counter and the group's own. Reports whether it was accepted.
+func (m *MultiNode) enqueue(s *session, fn func()) bool {
 	select {
-	case sh.inbox <- fn:
+	case m.inbox <- fn:
 		return true
 	default:
-		if sh.m.mobs != nil {
-			sh.m.mobs.shardDrops.Inc()
+		if m.mobs != nil {
+			m.mobs.inboxDrops.Inc()
 		}
 		s.obs.InboxDropped()
 		return false
 	}
 }
 
-// enqueueWait hands a user command to the shard loop, blocking while the
-// inbox is full — commands are not datagrams and must not be lost.
-func (sh *shard) enqueueWait(fn func()) error {
+// enqueueWait hands a user command to the loop, blocking while the inbox
+// is full — commands are not datagrams and must not be lost.
+func (m *MultiNode) enqueueWait(fn func()) error {
 	select {
-	case sh.inbox <- fn:
+	case m.inbox <- fn:
 		return nil
-	case <-sh.m.stopCh:
-		return errStopped
+	case <-m.stopCh:
+		return ErrStopped
 	}
 }
 
@@ -495,8 +481,7 @@ func (sh *shard) enqueueWait(fn func()) error {
 type session struct {
 	m      *MultiNode
 	group  uint32
-	shard  *shard
-	proc   *core.Process // swapped by MultiCluster.Restart on the shard goroutine
+	proc   *core.Process // swapped by MultiCluster.Restart on the protocol loop
 	obs    *rt.NodeObs
 	gobs   *groupObs         // nil when metrics are disabled
 	tracer *lifecycle.Tracer // nil unless Config.Lifecycle is set
@@ -506,7 +491,7 @@ type session struct {
 	processed atomic.Int64
 
 	// stableWait maps our in-flight submissions to their protocol-submit
-	// time until uniform stability covers them. Shard goroutine only
+	// time until uniform stability covers them. Protocol loop only
 	// (written in submitNow, settled in OnStable, cleared in OnLeave), so
 	// it needs no lock. Nil when metrics are disabled.
 	stableWait map[mid.MID]time.Time
@@ -522,7 +507,6 @@ func newSession(m *MultiNode, group uint32) (*session, error) {
 	s := &session{
 		m:       m,
 		group:   group,
-		shard:   m.shards[g%len(m.shards)],
 		ind:     make(chan Indication, cfg.IndicationDepth),
 		waiters: make(map[mid.MID]chan struct{}),
 		obs:     rt.NewNodeObs(cfg.Metrics, cfg.Self, cfg.N, g),
@@ -536,10 +520,7 @@ func newSession(m *MultiNode, group uint32) (*session, error) {
 		if opts.Blame == nil && cfg.Fault != nil {
 			opts.Blame = cfg.Fault.Blame
 		} else if opts.Blame == nil {
-			shardIdx, shards := g%len(m.shards), len(m.shards)
-			opts.Blame = func([]mid.MID) string {
-				return fmt.Sprintf("group %d on shard %d/%d", g, shardIdx, shards)
-			}
+			opts.Blame = func([]mid.MID) string { return fmt.Sprintf("group %d", g) }
 		}
 		s.tracer = lifecycle.NewGroup(cfg.Self, cfg.N, group, opts, cfg.Metrics)
 	}
@@ -550,7 +531,7 @@ func newSession(m *MultiNode, group uint32) (*session, error) {
 	s.proc = proc
 	if cfg.BatchWindow > 0 {
 		s.coal = rt.NewCoalescer(cfg.BatchWindow, cfg.BatchMax, cfg.BatchBytes,
-			s.shard.enqueueWait, s.submitNow, s.obs.Coalesced)
+			m.enqueueWait, s.submitNow, s.obs.Coalesced)
 	}
 	return s, nil
 }
@@ -627,7 +608,7 @@ func newGroupObs(reg *obs.Registry, self mid.ProcID, group int) *groupObs {
 }
 
 // settleStable observes the submit→stable latency of every own submission
-// the full-group clean vector newly covers. Shard goroutine only.
+// the full-group clean vector newly covers. Protocol loop only.
 func (s *session) settleStable(clean mid.SeqVector) {
 	if s.gobs == nil || len(s.stableWait) == 0 {
 		return
@@ -642,7 +623,7 @@ func (s *session) settleStable(clean mid.SeqVector) {
 }
 
 // tick hands round r to one group unless the member is fail-stopped.
-// Shard goroutine only.
+// Protocol loop only.
 func (s *session) tick(r int) {
 	if s.m.Killed() {
 		return
@@ -660,10 +641,14 @@ func (s *session) left() (core.LeaveReason, bool) {
 	return *s.leftWith, true
 }
 
-// submitNow runs one queued submission. Shard goroutine only.
+// submitNow runs one queued submission. Protocol loop only.
 func (s *session) submitNow(sub *rt.Submission) {
 	if s.m.Killed() {
-		sub.Res <- rt.SubResult{Err: fmt.Errorf("topics: member %d is fail-stopped", s.m.cfg.Self)}
+		sub.Res <- rt.SubResult{Err: fmt.Errorf("topics: member %d is %w", s.m.cfg.Self, ErrKilled)}
+		return
+	}
+	if _, left := s.left(); left {
+		sub.Res <- rt.SubResult{Err: s.errLeft()}
 		return
 	}
 	var id mid.MID
@@ -706,14 +691,14 @@ func (s *session) send(ctx context.Context, payload []byte, deps mid.DepList, ca
 	}
 	if s.coal != nil {
 		s.coal.Add(sub)
-	} else if err := s.shard.enqueueWait(func() { s.submitNow(sub) }); err != nil {
+	} else if err := s.m.enqueueWait(func() { s.submitNow(sub) }); err != nil {
 		return mid.MID{}, err
 	}
 	var r rt.SubResult
 	select {
 	case r = <-sub.Res:
 	case <-s.m.stopCh:
-		return mid.MID{}, errStopped
+		return mid.MID{}, ErrStopped
 	case <-ctx.Done():
 		return mid.MID{}, ctx.Err()
 	}
@@ -724,21 +709,25 @@ func (s *session) send(ctx context.Context, payload []byte, deps mid.DepList, ca
 	case <-sub.Confirm:
 	case <-s.m.stopCh:
 		s.unwait(r.ID, sub.Confirm)
-		return r.ID, errStopped
+		return r.ID, ErrStopped
 	case <-ctx.Done():
 		s.unwait(r.ID, sub.Confirm)
 		return r.ID, ctx.Err()
 	}
 	if _, left := s.left(); left {
-		return r.ID, fmt.Errorf("topics: member %d left group %d", s.m.cfg.Self, s.group)
+		return r.ID, s.errLeft()
 	}
 	s.obs.ObserveConfirm(t0)
 	return r.ID, nil
 }
 
+func (s *session) errLeft() error {
+	return fmt.Errorf("topics: member %d %w %d", s.m.cfg.Self, ErrLeft, s.group)
+}
+
 // demux validates one envelope frame, consults the receive-side fault
 // verdict, decodes the PDU into self-owned memory and dispatches it onto
-// the owning group's shard. pkt is read only during the call; the caller
+// the protocol loop. pkt is read only during the call; the caller
 // may reuse it immediately after — the demux ownership rule.
 func (m *MultiNode) demux(pkt []byte) {
 	if m.mobs != nil {
@@ -782,7 +771,7 @@ func (m *MultiNode) demux(pkt []byte) {
 	if act.Drop || m.Killed() {
 		kinds := act.Kinds
 		if !act.Drop {
-			kinds = kinds.With(faultrt.KindCrash) // absorbed by a fail-stopped member
+			kinds = kinds.With(fault.KindCrash) // absorbed by a fail-stopped member
 		}
 		m.capture.Record(capture.DirIngress, group, src, capture.FaultDrop, kinds, body)
 		return
@@ -800,7 +789,7 @@ func (m *MultiNode) demux(pkt []byte) {
 	v := capture.Delivered
 	if act.Faulty() {
 		v = m.deliverFaulty(s, src, pdu, body, act)
-	} else if !s.shard.enqueue(s, func() {
+	} else if !m.enqueue(s, func() {
 		if !s.m.Killed() {
 			s.proc.Recv(src, pdu)
 		}
@@ -809,14 +798,14 @@ func (m *MultiNode) demux(pkt []byte) {
 	}
 	seq := m.capture.Record(capture.DirIngress, group, src, v, act.Kinds, body)
 	if v == capture.DropInbox {
-		m.warnf("group %d: shard inbox full, datagram from member %d dropped (overload omission)%s", group, src, m.capNote(seq))
+		m.warnf("group %d: inbox full, datagram from member %d dropped (overload omission)%s", group, src, m.capNote(seq))
 	}
 }
 
 // deliverFaulty dispatches a frame under an injected receive-side delay or
 // duplication and returns its capture verdict. Each duplicate decodes its
 // own self-owned PDU now, before the caller reuses body.
-func (m *MultiNode) deliverFaulty(s *session, src mid.ProcID, pdu wire.PDU, body []byte, act faultrt.Action) capture.Verdict {
+func (m *MultiNode) deliverFaulty(s *session, src mid.ProcID, pdu wire.PDU, body []byte, act fault.Action) capture.Verdict {
 	pdus := []wire.PDU{pdu}
 	for i := 0; i < act.Dup; i++ {
 		if d, err := wire.Unmarshal(body); err == nil {
@@ -832,8 +821,8 @@ func (m *MultiNode) deliverFaulty(s *session, src mid.ProcID, pdu wire.PDU, body
 		}
 	}
 	if act.Delay > 0 {
-		time.AfterFunc(act.Delay, func() { s.shard.enqueue(s, recv) })
-	} else if !s.shard.enqueue(s, recv) {
+		time.AfterFunc(time.Duration(act.Delay), func() { m.enqueue(s, recv) })
+	} else if !m.enqueue(s, recv) {
 		return capture.DropInbox
 	}
 	return capture.Classify(capture.Delivered, act)
@@ -841,7 +830,7 @@ func (m *MultiNode) deliverFaulty(s *session, src mid.ProcID, pdu wire.PDU, body
 
 // groupTransport is one group's core.Transport: it frames every PDU once
 // behind the group envelope and hands it to the member's egress. Runs on
-// the group's shard goroutine.
+// the protocol loop.
 type groupTransport struct{ s *session }
 
 func (t groupTransport) Send(dst mid.ProcID, pdu wire.PDU) {
@@ -894,7 +883,7 @@ func (s *session) emit(dst mid.ProcID, pdu wire.PDU) {
 func (m *MultiNode) ship(group uint32, dst mid.ProcID, f *sharedFrame, body []byte, unicast bool) {
 	act := m.cfg.Fault.Send(m.cfg.Self, dst)
 	if m.cfg.DropFrame != nil && m.cfg.DropFrame(group, m.cfg.Self, dst) {
-		act.Drop, act.Kinds = true, act.Kinds.With(faultrt.KindPartition)
+		act.Drop, act.Kinds = true, act.Kinds.With(fault.KindPartition)
 	}
 	if unicast || act.Faulty() {
 		m.capture.Record(capture.DirEgress, group, dst, capture.Classify(capture.Sent, act), act.Kinds, body)
@@ -904,7 +893,7 @@ func (m *MultiNode) ship(group uint32, dst mid.ProcID, f *sharedFrame, body []by
 	case act.Delay > 0:
 		f.refs.Add(1)
 		dup := act.Dup
-		time.AfterFunc(act.Delay, func() {
+		time.AfterFunc(time.Duration(act.Delay), func() {
 			for c := 0; c <= dup; c++ {
 				m.link.send(dst, f)
 			}
@@ -955,7 +944,7 @@ type multiObs struct {
 	dropDecode    *obs.Counter
 	dropOversize  *obs.Counter
 	dropReadErr   *obs.Counter
-	shardDrops    *obs.Counter
+	inboxDrops    *obs.Counter
 	ticksSkipped  *obs.Counter
 
 	txDatagrams *obs.Counter
@@ -979,7 +968,7 @@ func newMultiObs(reg *obs.Registry) *multiObs {
 		dropDecode:    reg.Counter("topics_drop_decode_total"),
 		dropOversize:  reg.Counter("topics_drop_oversize_total"),
 		dropReadErr:   reg.Counter("topics_drop_readerr_total"),
-		shardDrops:    reg.Counter("topics_shard_dropped_total"),
+		inboxDrops:    reg.Counter("topics_shard_dropped_total"), // the member's inbox; name kept for dashboards
 		ticksSkipped:  reg.Counter("topics_ticks_skipped_total"),
 		txDatagrams:   reg.Counter("topics_send_datagrams_total"),
 		txBytes:       reg.Counter("topics_send_bytes_total"),

@@ -31,11 +31,10 @@ func freePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-func meshConfig(n, groups, shards int) Config {
+func meshConfig(n, groups int) Config {
 	return Config{
 		Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
 		Groups:        groups,
-		Shards:        shards,
 		RoundDuration: 500 * time.Microsecond,
 	}
 }
@@ -76,8 +75,8 @@ func waitGroupConverged(t *testing.T, nodes []*MultiNode, groups int, want mid.S
 // mesh concurrently: every group must reach the same processed vector on
 // every member, and groups must not bleed into each other.
 func TestMeshMultiGroupConverges(t *testing.T) {
-	const n, groups, shards, perGroup = 3, 4, 2, 6
-	cfg := meshConfig(n, groups, shards)
+	const n, groups, perGroup = 3, 4, 6
+	cfg := meshConfig(n, groups)
 	cfg.BatchWindow = 200 * time.Microsecond
 	c, err := NewMultiCluster(cfg)
 	if err != nil {
@@ -131,7 +130,7 @@ func TestMeshMultiGroupConverges(t *testing.T) {
 // within their group while other groups churn.
 func TestMeshCausalOrderPerGroup(t *testing.T) {
 	const n, groups = 3, 3
-	cfg := meshConfig(n, groups, 2)
+	cfg := meshConfig(n, groups)
 	cfg.BatchWindow = 200 * time.Microsecond
 	c, err := NewMultiCluster(cfg)
 	if err != nil {
@@ -185,7 +184,7 @@ func TestUDPMultiGroupConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and timers")
 	}
-	const n, groups, shards, perGroup = 3, 3, 2, 4
+	const n, groups, perGroup = 3, 3, 4
 	reg := obs.New()
 	peers := freePorts(t, n)
 	nodes := make([]*MultiNode, n)
@@ -193,7 +192,6 @@ func TestUDPMultiGroupConverges(t *testing.T) {
 		node, err := NewMultiNode(Config{
 			Config:        core.Config{N: n, K: 5, R: 16, SelfExclusion: true},
 			Groups:        groups,
-			Shards:        shards,
 			Self:          mid.ProcID(i),
 			Peers:         peers,
 			RoundDuration: 3 * time.Millisecond,
@@ -275,7 +273,6 @@ func TestUDPInteropGroupZero(t *testing.T) {
 	multi, err := NewMultiNode(Config{
 		Config:        base,
 		Groups:        4,
-		Shards:        2,
 		Self:          2,
 		Peers:         peers,
 		RoundDuration: 3 * time.Millisecond,
@@ -352,7 +349,6 @@ func TestLegacyNodeDropsGroupTaggedFrames(t *testing.T) {
 	multi, err := NewMultiNode(Config{
 		Config:        core.Config{N: 2, K: 100, R: 256, SelfExclusion: true},
 		Groups:        2,
-		Shards:        1,
 		Self:          1,
 		Peers:         peers,
 		RoundDuration: 3 * time.Millisecond,
@@ -388,12 +384,12 @@ func TestLegacyNodeDropsGroupTaggedFrames(t *testing.T) {
 }
 
 // TestConcurrentDemuxShardDispatchStress is the race-detector stress for
-// the demux path: many groups over few shards, every member sending on
-// every group concurrently while status snapshots and group counts are
-// read from other goroutines.
+// the demux path: many groups on each member's one protocol loop, every
+// member sending on every group concurrently while status snapshots and
+// group counts are read from other goroutines.
 func TestConcurrentDemuxShardDispatchStress(t *testing.T) {
-	const n, groups, shards, perGroup = 3, 8, 3, 4
-	cfg := meshConfig(n, groups, shards)
+	const n, groups, perGroup = 3, 8, 4
+	cfg := meshConfig(n, groups)
 	cfg.BatchWindow = 200 * time.Microsecond
 	cfg.Metrics = obs.New()
 	c, err := NewMultiCluster(cfg)
@@ -452,7 +448,7 @@ func TestConcurrentDemuxShardDispatchStress(t *testing.T) {
 
 // TestConfigValidation pins the construction-time guardrails.
 func TestConfigValidation(t *testing.T) {
-	base := meshConfig(3, 2, 1)
+	base := meshConfig(3, 2)
 	if _, err := NewMultiCluster(base); err != nil {
 		t.Fatalf("valid config refused: %v", err)
 	}
@@ -460,11 +456,6 @@ func TestConfigValidation(t *testing.T) {
 	bad.Groups = -1
 	if _, err := NewMultiCluster(bad); err == nil {
 		t.Error("negative group count accepted")
-	}
-	bad = base
-	bad.Shards = -2
-	if _, err := NewMultiCluster(bad); err == nil {
-		t.Error("negative shard count accepted")
 	}
 	if _, err := NewMultiNode(Config{
 		Config: core.Config{N: 2, K: 3, R: 8},
@@ -480,7 +471,7 @@ func TestConfigValidation(t *testing.T) {
 // must error out, in every group, never hang.
 func TestMultiNodeStopFailsPendingSends(t *testing.T) {
 	const groups = 3
-	cfg := meshConfig(2, groups, 2)
+	cfg := meshConfig(2, groups)
 	cfg.BatchWindow = time.Hour // only Stop can resolve these Sends
 	c, err := NewMultiCluster(cfg)
 	if err != nil {

@@ -71,7 +71,7 @@ func (u *udpBackend) start(m *MultiNode) {
 }
 
 // clock drives every group's rounds off one free-running ticker. A
-// fail-stopped member stops ticking; a full shard inbox skips that group's
+// fail-stopped member stops ticking; a full inbox skips that group's
 // tick — an overload omission the protocol repairs.
 func (m *MultiNode) clock() {
 	t := time.NewTicker(m.cfg.RoundDuration)
@@ -90,15 +90,15 @@ func (m *MultiNode) clock() {
 		round++
 		for _, s := range m.sessions {
 			s := s
-			s.obs.SampleInbox(len(s.shard.inbox))
-			if !s.shard.enqueue(s, func() { s.tick(r) }) {
+			s.obs.SampleInbox(len(m.inbox))
+			if !m.enqueue(s, func() { s.tick(r) }) {
 				if m.mobs != nil {
 					m.mobs.ticksSkipped.Inc()
 				}
 				if s.gobs != nil {
 					s.gobs.ticksSkipped.Inc()
 				}
-				m.warnf("group %d round tick %d skipped: shard inbox full (overload omission)", s.group, r)
+				m.warnf("group %d round tick %d skipped: inbox full (overload omission)", s.group, r)
 			}
 		}
 	}
@@ -139,12 +139,12 @@ type txPacket struct {
 // bounds how much the shared sender drains per wakeup on the fallback path.
 const txBurstMax = 16
 
-// txSender is the shared outgoing path and the UDP backend's link: every
-// group's shard loops feed it framed datagrams through one bounded queue,
+// txSender is the shared outgoing path and the UDP backend's link: the
+// protocol loop feeds it every group's framed datagrams through one bounded queue,
 // and it ships them in mixed-group, mixed-destination sendmmsg bursts
 // (single writes where the platform or kernel lacks the syscall). A full
-// queue drops the datagram — an omission the protocol repairs — so shard
-// loops never block on the socket.
+// queue drops the datagram — an omission the protocol repairs — so the
+// protocol loop never blocks on the socket.
 type txSender struct {
 	m     *MultiNode
 	u     *udpBackend

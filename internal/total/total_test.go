@@ -65,7 +65,7 @@ func TestTotalOrderSurvivesSequencerCrash(t *testing.T) {
 	// consistent and complete for all data the survivors generated.
 	tc, err := NewCluster(Config{
 		N: 5, K: 2, R: 6, Seed: 3,
-		Injector: fault.Crash{Proc: 0, At: sim.StartOfSubrun(8)},
+		Injector: fault.Crash{Proc: 0, At: fault.Time(sim.StartOfSubrun(8))},
 	})
 	if err != nil {
 		t.Fatal(err)

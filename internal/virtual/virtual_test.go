@@ -226,7 +226,7 @@ func TestOwnerCrashSharedFate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj = append(inj, fault.Crash{Proc: v, At: crashAt})
+		inj = append(inj, fault.Crash{Proc: v, At: fault.Time(crashAt)})
 	}
 	inner, err := core.NewCluster(core.ClusterConfig{
 		Config:   core.Config{N: m.GroupSize(), K: 3, R: 8, SelfExclusion: true},

@@ -8,7 +8,7 @@ import (
 )
 
 // Frame envelope: the runtime prefix in front of every marshaled PDU on a
-// datagram socket, identifying the sending member — and, since the sharded
+// datagram socket, identifying the sending member — and, since the
 // multi-group runtime, the group the frame belongs to.
 //
 // Two canonical forms share one address space:
