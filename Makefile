@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-diff bench-smoke bench-throughput bench-groups chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke perfbench-build clean
+.PHONY: all build test race vet fmt check bench bench-diff bench-smoke bench-throughput bench-groups chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke perfbench-build clean
 
 all: check
 
@@ -12,6 +12,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file in the tree, the benchmark module included,
+# is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the live runtime (the protocol loop, shared-socket demux, the burst sender,
@@ -26,15 +31,16 @@ vet:
 race:
 	$(GO) test -race ./internal/rt/... ./internal/topics/... ./internal/core/... ./internal/obs/... ./internal/health/... ./internal/inspect/... ./internal/stitch/... ./internal/faultrt/...
 
-# check is the tier-1 gate: everything builds, vets clean, passes the
-# full suite, the concurrency-sensitive packages pass under -race, every
-# benchmark body still runs (one iteration each), a seeded chaos soak
-# upholds the uniform invariants under the race detector, and a live
-# three-member cluster inspects healthy end to end through the real
-# binaries — including the forensic pipeline: capture dumps from real
-# nodes must replay offline to a clean verdict. Last, the benchmark module
-# must still build and pass its own tests against this tree.
-check: vet test race bench-smoke bench-throughput bench-groups chaos-smoke inspect-smoke trace-smoke join-smoke capture-smoke perfbench-build
+# check is the tier-1 gate: everything is gofmt-formatted, builds, vets
+# clean, passes the full suite, the concurrency-sensitive packages pass
+# under -race, every benchmark body still runs (one iteration each), a
+# seeded chaos soak upholds the uniform invariants under the race
+# detector, and a live three-member cluster inspects healthy end to end
+# through the real binaries — including the forensic pipeline: capture
+# dumps from real nodes must replay offline to a clean verdict. Last, the
+# benchmark module must still build and pass its own tests against this
+# tree.
+check: fmt vet test race bench-smoke bench-throughput bench-groups chaos-smoke inspect-smoke trace-smoke join-smoke capture-smoke perfbench-build
 
 # perfbench-build vets and tests the benchmark module (perfbench/, its own
 # go.mod resolving urcgc from this tree) with the offline settings

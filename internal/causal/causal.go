@@ -71,25 +71,40 @@ func (m *Message) Validate() error {
 	return nil
 }
 
-// Ready reports whether a message with the given effective dependencies is
-// processable given processed, the vector of last-processed sequence
-// numbers per sender. A sequence is processed contiguously, so dependency
-// (q,s) is satisfied exactly when processed[q] >= s.
+// Ready reports whether m is processable given processed, the vector of
+// last-processed sequence numbers per sender. A sequence is processed
+// contiguously, so dependency (q,s) is satisfied exactly when
+// processed[q] >= s.
+//
+// The test runs over m's raw labels plus its implicit predecessor, with no
+// list built: each sequence is totally ordered, so every label of a
+// sequence is satisfied exactly when the highest one is, and the raw list
+// answers the same as the canonical EffectiveDeps.
 func Ready(m *Message, processed mid.SeqVector) bool {
-	for _, d := range m.EffectiveDeps() {
-		if int(d.Proc) >= len(processed) || processed[d.Proc] < d.Seq {
+	if prev := m.ID.Prev(); !prev.IsZero() && !satisfied(prev, processed) {
+		return false
+	}
+	for _, d := range m.Deps {
+		if !satisfied(d, processed) {
 			return false
 		}
 	}
 	return true
 }
 
+// satisfied reports whether dependency d names a sequence of the group
+// processed at least up to d.
+func satisfied(d mid.MID, processed mid.SeqVector) bool {
+	return d.Proc >= 0 && int(d.Proc) < len(processed) && processed[d.Proc] >= d.Seq
+}
+
 // MissingDeps returns the effective dependencies of m that processed does
-// not yet satisfy.
+// not yet satisfy. It builds the canonical list, so it belongs on error
+// paths, not in a readiness loop.
 func MissingDeps(m *Message, processed mid.SeqVector) mid.DepList {
 	var miss mid.DepList
 	for _, d := range m.EffectiveDeps() {
-		if int(d.Proc) >= len(processed) || processed[d.Proc] < d.Seq {
+		if !satisfied(d, processed) {
 			miss = append(miss, d)
 		}
 	}
@@ -109,14 +124,10 @@ type Tracker struct {
 // NewTracker returns a Tracker for a group of n processes with nothing
 // processed and nothing condemned.
 func NewTracker(n int) *Tracker {
-	t := &Tracker{
+	return &Tracker{
 		processed: mid.NewSeqVector(n),
 		condemned: mid.NewSeqVector(n),
 	}
-	for i := range t.condemned {
-		t.condemned[i] = 0
-	}
-	return t
 }
 
 // Processed returns the last-processed vector. The caller must not modify it.
@@ -134,24 +145,18 @@ func (t *Tracker) LastProcessed(q mid.ProcID) mid.Seq {
 // Ready reports whether m is processable now: all effective dependencies
 // processed and neither m nor any dependency condemned.
 func (t *Tracker) Ready(m *Message) bool {
-	if t.IsCondemned(m.ID) {
-		return false
-	}
-	for _, d := range m.EffectiveDeps() {
-		if t.IsCondemned(d) {
-			return false
-		}
-	}
-	return Ready(m, t.processed)
+	return !t.Doomed(m) && Ready(m, t.processed)
 }
 
 // Doomed reports whether m can never be processed: m itself or one of its
-// effective dependencies is condemned.
+// effective dependencies is condemned. Condemned suffixes are closed
+// upwards, so some label of a sequence is condemned exactly when its
+// highest one is, and the implicit predecessor is condemned only if m is.
 func (t *Tracker) Doomed(m *Message) bool {
 	if t.IsCondemned(m.ID) {
 		return true
 	}
-	for _, d := range m.EffectiveDeps() {
+	for _, d := range m.Deps {
 		if t.IsCondemned(d) {
 			return true
 		}
@@ -163,14 +168,14 @@ func (t *Tracker) Doomed(m *Message) bool {
 // not Ready: processing out of causal order is a protocol bug, not a runtime
 // condition, and the simulator tests rely on this being loud.
 func (t *Tracker) Process(m *Message) error {
+	if m.ID.Proc < 0 || int(m.ID.Proc) >= len(t.processed) {
+		return fmt.Errorf("causal: message %v from process outside group of %d", m.ID, len(t.processed))
+	}
 	if t.Doomed(m) {
 		return fmt.Errorf("causal: processing condemned message %v", m.ID)
 	}
 	if !Ready(m, t.processed) {
 		return fmt.Errorf("causal: processing %v before its dependencies (missing %v)", m.ID, MissingDeps(m, t.processed))
-	}
-	if int(m.ID.Proc) >= len(t.processed) {
-		return fmt.Errorf("causal: message %v from process outside group of %d", m.ID, len(t.processed))
 	}
 	if t.processed[m.ID.Proc] != m.ID.Seq-1 {
 		return fmt.Errorf("causal: %v breaks sequence contiguity (last processed %d)", m.ID, t.processed[m.ID.Proc])

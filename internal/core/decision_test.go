@@ -364,3 +364,29 @@ func TestMalformedDataIgnored(t *testing.T) {
 		t.Error("malformed message must be dropped")
 	}
 }
+
+// TestOutOfGroupDataIgnored feeds data frames whose sender or a label names
+// a process outside [0, n). The codec accepts any ProcID, so each must be
+// dropped like a Validate failure rather than index past the per-process
+// vectors, and the member must go on processing well-formed data.
+func TestOutOfGroupDataIgnored(t *testing.T) {
+	cases := map[string]causal.Message{
+		"negative dependency": {ID: mid.MID{Proc: 1, Seq: 1}, Deps: mid.DepList{{Proc: -1, Seq: 1}}},
+		"negative sender":     {ID: mid.MID{Proc: -1, Seq: 1}},
+		"sender >= n":         {ID: mid.MID{Proc: 3, Seq: 1}},
+		"dependency >= n":     {ID: mid.MID{Proc: 1, Seq: 1}, Deps: mid.DepList{{Proc: 3, Seq: 1}}},
+	}
+	for name, m := range cases {
+		t.Run(name, func(t *testing.T) {
+			p, _ := newProc(t, 0, Config{N: 3, K: 2, R: 5, SelfExclusion: true})
+			p.Recv(1, &wire.Data{Msg: m})
+			if p.Stats.ProcessedN != 0 || p.WaitingLen() != 0 {
+				t.Fatalf("processed=%d waiting=%d, want the frame dropped", p.Stats.ProcessedN, p.WaitingLen())
+			}
+			p.Recv(1, &wire.Data{Msg: causal.Message{ID: mid.MID{Proc: 1, Seq: 1}}})
+			if p.Stats.ProcessedN != 1 {
+				t.Errorf("processed=%d after a well-formed frame, want 1", p.Stats.ProcessedN)
+			}
+		})
+	}
+}

@@ -917,7 +917,7 @@ func (p *Process) handleRetransmit(r *wire.Retransmit) {
 }
 
 func (p *Process) handleData(m *causal.Message) {
-	if m.Validate() != nil {
+	if m.Validate() != nil || !p.inGroup(m) {
 		return // malformed; a real deployment would log this
 	}
 	if m.ID.Seq <= p.tracker.LastProcessed(m.ID.Proc) || p.wait.Has(m.ID) {
@@ -937,6 +937,22 @@ func (p *Process) handleData(m *causal.Message) {
 	if p.cb.OnWait != nil {
 		p.cb.OnWait(m, p.missingDeps(m))
 	}
+}
+
+// inGroup reports whether m's sender and every label name a process of
+// the group: the codec accepts any ProcID, and one outside [0, n) would
+// index past the per-process vectors.
+func (p *Process) inGroup(m *causal.Message) bool {
+	n := mid.ProcID(p.cfg.N)
+	if m.ID.Proc < 0 || m.ID.Proc >= n {
+		return false
+	}
+	for _, d := range m.Deps {
+		if d.Proc < 0 || d.Proc >= n {
+			return false
+		}
+	}
+	return true
 }
 
 // missingDeps returns m's currently unmet effective dependencies. The

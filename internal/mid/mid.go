@@ -12,8 +12,9 @@
 package mid
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ProcID identifies a process in the group. Processes are numbered 0..n-1.
@@ -85,7 +86,12 @@ func (d DepList) Canonical() DepList {
 	if len(d) <= 1 {
 		return d
 	}
-	sort.Slice(d, func(i, j int) bool { return d[i].Less(d[j]) })
+	slices.SortFunc(d, func(a, b MID) int {
+		if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Seq, b.Seq)
+	})
 	out := d[:0]
 	for _, m := range d {
 		if n := len(out); n > 0 && out[n-1].Proc == m.Proc {

@@ -222,3 +222,17 @@ func TestSeqVectorLatticeProperties(t *testing.T) {
 		}
 	}
 }
+
+// TestCanonicalAllocFree pins Canonical's in-place sort: Submit and the
+// waiting path canonicalise a label list per message.
+func TestCanonicalAllocFree(t *testing.T) {
+	src := DepList{{Proc: 2, Seq: 4}, {Proc: 0, Seq: 7}, {Proc: 2, Seq: 9}}
+	d := make(DepList, len(src))
+	got := testing.AllocsPerRun(200, func() {
+		copy(d, src)
+		d.Canonical()
+	})
+	if got != 0 {
+		t.Errorf("Canonical allocates %.1f times per call, want 0", got)
+	}
+}

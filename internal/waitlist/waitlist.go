@@ -87,27 +87,40 @@ func (l *List) OldestWaiting() mid.SeqVector {
 // process still needs to receive in order to unblock the oldest waiting
 // message of that sequence, given the last-processed vector. Zero entries
 // mean nothing of that sequence is waiting. This drives recovery requests.
+//
+// A sequence's entry depends only on whether some dependency of it is
+// unsatisfied, so each message's raw labels and implicit predecessor are
+// scanned as they are, without building its canonical dependency list.
 func (l *List) MissingBefore(processed mid.SeqVector) mid.SeqVector {
 	need := mid.NewSeqVector(l.n)
 	for _, m := range l.byID {
-		for _, d := range m.EffectiveDeps() {
-			if int(d.Proc) >= len(processed) || d.Proc < 0 {
-				continue
-			}
-			if processed[d.Proc] >= d.Seq {
-				continue // satisfied
-			}
-			// The first missing message of d's sequence.
-			first := processed[d.Proc] + 1
-			if l.Has(mid.MID{Proc: d.Proc, Seq: first}) {
-				continue // already received, just not processable yet
-			}
-			if need[d.Proc] == 0 || first < need[d.Proc] {
-				need[d.Proc] = first
-			}
+		if prev := m.ID.Prev(); !prev.IsZero() {
+			l.noteMissing(prev, processed, need)
+		}
+		for _, d := range m.Deps {
+			l.noteMissing(d, processed, need)
 		}
 	}
 	return need
+}
+
+// noteMissing lowers need[d.Proc] to the first unprocessed message of d's
+// sequence when d is unsatisfied and that message is not already waiting.
+func (l *List) noteMissing(d mid.MID, processed, need mid.SeqVector) {
+	if d.Proc < 0 || int(d.Proc) >= len(processed) {
+		return
+	}
+	if processed[d.Proc] >= d.Seq {
+		return // satisfied
+	}
+	// The first missing message of d's sequence.
+	first := processed[d.Proc] + 1
+	if l.Has(mid.MID{Proc: d.Proc, Seq: first}) {
+		return // already received, just not processable yet
+	}
+	if need[d.Proc] == 0 || first < need[d.Proc] {
+		need[d.Proc] = first
+	}
 }
 
 // DropDoomed removes every waiting message that can never be processed

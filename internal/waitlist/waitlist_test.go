@@ -164,3 +164,22 @@ func TestAllReturnsEverything(t *testing.T) {
 		t.Errorf("All returned %d messages", len(got))
 	}
 }
+
+// TestNextReadyAllocFree guards the delivery cascade: scanning the waiting
+// list for a processable message must not allocate.
+func TestNextReadyAllocFree(t *testing.T) {
+	tr := causal.NewTracker(3)
+	l := New(3)
+	for s := mid.Seq(2); s <= 8; s++ {
+		l.Add(msg(0, s, mid.MID{Proc: 1, Seq: s}, mid.MID{Proc: 2, Seq: 1}))
+	}
+	if err := tr.Install(mid.SeqVector{1, 8, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if m := l.NextReady(tr); m == nil || m.ID != (mid.MID{Proc: 0, Seq: 2}) {
+		t.Fatalf("NextReady = %v, want p0#2", m)
+	}
+	if got := testing.AllocsPerRun(200, func() { l.NextReady(tr) }); got != 0 {
+		t.Errorf("NextReady allocates %.1f times per call, want 0", got)
+	}
+}
