@@ -49,7 +49,7 @@ func main() {
 		duration = flag.Duration("duration", 10*time.Second, "how long to drive load")
 		k        = flag.Int("k", 3, "K parameter")
 		round    = flag.Duration("round", 2*time.Millisecond, "round duration")
-		batchWin = flag.Duration("batch-window", 500*time.Microsecond, "submission coalescing window (0 disables batching)")
+		batchWin = flag.Duration("batch-window", 500*time.Microsecond, "any positive value turns on coalescing: sends pending between round ticks enter the protocol together at the next tick; the length times nothing (0 disables batching)")
 		payload  = flag.Int("payload", 64, "bytes per message")
 		mesh     = flag.Bool("mesh", false, "use the in-process mesh instead of loopback UDP sockets")
 		metrics  = flag.String("metrics", "", "HTTP address serving member 0's /metrics and /status while loading (empty disables)")
@@ -98,8 +98,12 @@ func main() {
 	if *mesh {
 		transport = "mesh"
 	}
-	fmt.Fprintf(progress(*asJSON), "cluster up: n=%d groups=%d transport=%s round=%v batch-window=%v\n",
-		*n, *groups, transport, *round, *batchWin)
+	coalescing := "off"
+	if *batchWin > 0 {
+		coalescing = "on"
+	}
+	fmt.Fprintf(progress(*asJSON), "cluster up: n=%d groups=%d transport=%s round=%v coalescing=%s\n",
+		*n, *groups, transport, *round, coalescing)
 	fmt.Fprintf(progress(*asJSON), "driving %d sessions for %v...\n", *sessions, *duration)
 
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)

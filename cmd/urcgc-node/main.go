@@ -85,7 +85,7 @@ func main() {
 		traceSlow = flag.Duration("trace-slow", time.Second, "flag a message stuck waiting longer than this on /trace (0 disables lifecycle tracing)")
 		sample    = flag.Duration("sample", time.Second, "flight-recorder sampling interval for /timeseries and /healthz (0 disables)")
 		window    = flag.Int("window", 512, "flight-recorder ring length: samples of history retained")
-		batchWin  = flag.Duration("batch-window", 0, "coalesce submissions arriving within this window into one DataBatch broadcast (0 disables batching)")
+		batchWin  = flag.Duration("batch-window", 0, "any positive value coalesces submissions pending between round ticks into one DataBatch broadcast at the next subrun; the length times nothing (0 disables batching)")
 		batchMax  = flag.Int("batch-max", 0, "max messages per subrun drain when batching (0 = default when -batch-window is set)")
 		capFrames = flag.Int("capture", 0, "frame flight-recorder depth: raw wire frames retained for /capture and urcgc-replay (0 disables)")
 	)

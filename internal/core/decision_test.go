@@ -390,3 +390,30 @@ func TestOutOfGroupDataIgnored(t *testing.T) {
 		})
 	}
 }
+
+// TestCoordinatorFoldsEarlyRequest: a member whose round clock leads the
+// coordinator's by less than a round sends its request while the
+// coordinator is still in the previous subrun's decision phase. The
+// coordinator keeps it and folds it when that subrun opens, so the member
+// counts as heard; a request naming any later subrun is not kept.
+func TestCoordinatorFoldsEarlyRequest(t *testing.T) {
+	cfg := Config{N: 3, K: 5, R: 11, SelfExclusion: true}
+	p, tp := newProc(t, 0, cfg)
+	for r := 0; r <= 5; r++ { // through subrun 2's decision phase
+		p.StartRound(r)
+	}
+	p.Recv(1, req(1, 3, mid.NewSeqVector(3), mid.NewSeqVector(3), nil)) // leads by under a round
+	p.Recv(2, req(2, 4, mid.NewSeqVector(3), mid.NewSeqVector(3), nil)) // two subruns ahead
+	p.StartRound(6)                                                     // opens subrun 3, which p0 coordinates
+	p.StartRound(7)
+	d := tp.lastDecision(t)
+	if d.Subrun != 3 {
+		t.Fatalf("decision for subrun %d, want 3", d.Subrun)
+	}
+	if d.Attempts[1] != 0 {
+		t.Errorf("Attempts[1] = %d: the early request was not folded", d.Attempts[1])
+	}
+	if d.Attempts[2] == 0 {
+		t.Error("a request two subruns ahead was folded")
+	}
+}

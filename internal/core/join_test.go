@@ -55,9 +55,9 @@ func TestJoinerLifecycle(t *testing.T) {
 	}
 
 	// The sponsor's state transfer: stability watermark {2,1,1}, sponsor
-	// saw 2 messages of our old incarnation, freshest decision of subrun 7
+	// saw 2 messages of our old incarnation, freshest decision of subrun 6
 	// declares us dead.
-	prev := dec(7, 0, []bool{true, true, false}, mid.SeqVector{2, 1, 2})
+	prev := dec(6, 0, []bool{true, true, false}, mid.SeqVector{2, 1, 2})
 	p.Recv(0, &wire.JoinState{
 		Sponsor: 0, Resume: 2,
 		Stable:    mid.SeqVector{2, 1, 1},
@@ -70,6 +70,10 @@ func TestJoinerLifecycle(t *testing.T) {
 	if !p.Joining() {
 		t.Fatal("still joining until a decision admits us")
 	}
+	// The live decision of subrun 7, still declaring us dead, left its
+	// coordinator as the group's round 15 opened: the joiner's rounds
+	// chase the group's from it.
+	p.Recv(1, dec(7, 1, []bool{true, true, false}, mid.SeqVector{2, 1, 2}))
 	if p.Subrun() != 7 {
 		t.Fatalf("subrun not aligned to the decision: %d", p.Subrun())
 	}
@@ -77,7 +81,7 @@ func TestJoinerLifecycle(t *testing.T) {
 	// Post-sync request phase: a join-flagged REQUEST to the coordinator,
 	// on the group's subrun numbering.
 	tp.sends = nil
-	p.StartRound(2) // local subrun 1 + bias 7 = 8
+	p.StartRound(1) // local round 0 was the group's 15: this is 16, subrun 8
 	if len(tp.sends) != 1 {
 		t.Fatalf("post-sync subrun sent %d PDUs, want 1", len(tp.sends))
 	}
@@ -303,6 +307,99 @@ func TestSimJoinConvergence(t *testing.T) {
 	for i := 1; i < c.N(); i++ {
 		if !ref.Equal(c.Proc(mid.ProcID(i)).Processed()) {
 			t.Errorf("p%d processed %v, want %v", i, c.Proc(mid.ProcID(i)).Processed(), ref)
+		}
+	}
+}
+
+// tickNet runs processes in real-time-like steps: each process starts a
+// round every ten ticks from its own start tick, and every PDU sent in a
+// tick is delivered after all of that tick's rounds ran.
+type tickNet struct {
+	procs []*Process
+	start []int
+	down  []bool
+	q     []queued
+}
+
+type queued struct {
+	src, dst mid.ProcID
+	pdu      wire.PDU
+}
+
+type tickTransport struct {
+	net  *tickNet
+	self mid.ProcID
+}
+
+func (t tickTransport) Send(dst mid.ProcID, pdu wire.PDU) {
+	t.net.q = append(t.net.q, queued{t.self, dst, pdu})
+}
+
+func (t tickTransport) Broadcast(pdu wire.PDU) {
+	for q := range t.net.procs {
+		if mid.ProcID(q) != t.self {
+			t.Send(mid.ProcID(q), pdu)
+		}
+	}
+}
+
+func (n *tickNet) step(tick int) {
+	for i, p := range n.procs {
+		if !n.down[i] && tick >= n.start[i] && (tick-n.start[i])%10 == 0 {
+			p.StartRound((tick - n.start[i]) / 10)
+		}
+	}
+	for len(n.q) > 0 {
+		m := n.q[0]
+		n.q = n.q[1:]
+		if !n.down[m.src] && !n.down[m.dst] {
+			n.procs[m.dst].Recv(m.src, m.pdu)
+		}
+	}
+}
+
+// TestJoinerChasesGroupRounds restarts a member whose new round clock is
+// offset from the group's by whole rounds, odd or even, and by a fraction
+// of a round. The joiner must take the group's rounds from the first live
+// decision, so its join-flagged requests open each subrun in the group's
+// request phase; aligning the subrun number alone leaves a joiner an odd
+// number of rounds off soliciting forever. Nobody may leave.
+func TestJoinerChasesGroupRounds(t *testing.T) {
+	for _, offset := range []int{0, 4, 10, 13, 27} { // ticks past the group's round grid
+		cfg := Config{N: 3, K: 3, R: 8, SelfExclusion: true}
+		net := &tickNet{start: make([]int, 3), down: make([]bool, 3)}
+		left := map[mid.ProcID]LeaveReason{}
+		joined := false
+		mk := func(id mid.ProcID, join bool) *Process {
+			cfg := cfg
+			cfg.Join = join
+			p, err := NewProcess(id, cfg, tickTransport{net, id}, Callbacks{
+				OnLeave:  func(r LeaveReason) { left[id] = r },
+				OnJoined: func() { joined = true },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		for i := 0; i < 3; i++ {
+			net.procs = append(net.procs, mk(mid.ProcID(i), false))
+		}
+		for tick := 0; tick < 3000; tick++ {
+			switch tick {
+			case 300:
+				net.down[2] = true // crash; the others exclude it
+			case 1000 + offset:
+				delete(left, 2) // the crashed incarnation's suicide, if any
+				net.procs[2], net.start[2], net.down[2] = mk(2, true), tick, false
+			}
+			net.step(tick)
+		}
+		if !joined {
+			t.Errorf("offset %d ticks: the restarted member never rejoined", offset)
+		}
+		if len(left) != 0 {
+			t.Errorf("offset %d ticks: members left: %v", offset, left)
 		}
 	}
 }

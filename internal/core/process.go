@@ -328,6 +328,10 @@ type Process struct {
 	outbox   []*causal.Message // user messages awaiting their send round
 	lastDec  *wire.Decision    // freshest decision held
 	requests map[mid.ProcID]*wire.Request
+	// early holds requests for the subrun this process coordinates next,
+	// from senders whose round clock leads ours by less than a round; they
+	// are folded when that subrun opens.
+	early map[mid.ProcID]*wire.Request
 
 	subrun            int64 // current subrun index
 	missedCoords      int   // consecutive subruns with no decision from a believed-alive coordinator
@@ -345,10 +349,12 @@ type Process struct {
 	joining      bool
 	synced       bool
 	joinAligning bool
-	// subrunBias aligns the local round clock to the group's subrun
-	// numbering: a restarted member's rounds restart at zero, but its
-	// requests must name the subrun its peers are in to be folded.
-	subrunBias int64
+	// roundBias aligns the local round clock to the group's rounds: a
+	// restarted member's rounds restart at zero, but its requests must
+	// name the subrun its peers are in, and open it in the same phase, to
+	// be folded. lastRound is the local round StartRound last ran.
+	roundBias int64
+	lastRound int64
 
 	// missScratch backs the missing-dependency list handed to OnWait, so
 	// steady-state tracing costs no allocation per waiting message.
@@ -403,6 +409,7 @@ func NewProcess(id mid.ProcID, cfg Config, tp Transport, cb Callbacks) (*Process
 		joining:   cfg.Join,
 		synced:    !cfg.Join,
 		requests:  make(map[mid.ProcID]*wire.Request),
+		early:     make(map[mid.ProcID]*wire.Request),
 		lastClean: mid.NewSeqVector(cfg.N),
 	}, nil
 }
@@ -567,8 +574,9 @@ func (p *Process) StartRound(r int) {
 	if !p.running {
 		return
 	}
-	if r%2 == 0 {
-		p.startSubrun(int64(r/2) + p.subrunBias)
+	p.lastRound = int64(r)
+	if e := int64(r) + p.roundBias; e%2 == 0 {
+		p.startSubrun(e / 2)
 	} else {
 		p.decisionPhase()
 	}
@@ -594,6 +602,12 @@ func (p *Process) startSubrun(s int64) {
 	p.subrun = s
 	p.decisionThisSub = false
 	p.requests = make(map[mid.ProcID]*wire.Request)
+	for q, req := range p.early {
+		if req.Subrun == s {
+			p.requests[q] = req
+		}
+	}
+	clear(p.early)
 
 	if p.joining {
 		p.joinSubrun(s)
@@ -794,13 +808,15 @@ func (p *Process) Recv(src mid.ProcID, pdu wire.PDU) {
 	case *wire.Request:
 		if v.Subrun == p.subrun && p.coordinator(p.subrun) == p.id {
 			p.requests[v.Sender] = v
+		} else if v.Subrun == p.subrun+1 && p.coordinator(v.Subrun) == p.id {
+			p.early[v.Sender] = v
 		} else if v.Prev != nil {
 			// Not ours to coordinate, but the embedded decision may still
 			// be fresher than what we hold.
 			p.noteDecision(v.Prev)
 		}
 	case *wire.Decision:
-		p.handleDecision(v)
+		p.handleDecision(v, true)
 	case *wire.Recover:
 		p.handleRecover(v)
 	case *wire.Retransmit:
@@ -863,7 +879,7 @@ func (p *Process) installJoinState(js *wire.JoinState) {
 		p.cb.OnJoinInstalled(js.Stable.Clone())
 	}
 	if js.Prev != nil {
-		p.handleDecision(js.Prev)
+		p.handleDecision(js.Prev, false)
 	}
 }
 
@@ -1006,9 +1022,23 @@ func (p *Process) noteDecision(d *wire.Decision) {
 	}
 }
 
-func (p *Process) handleDecision(d *wire.Decision) {
+// handleDecision applies a fresh decision. live marks one that arrived as
+// its coordinator broadcast it, as opposed to one embedded in a state
+// transfer, which may be a round or more old.
+func (p *Process) handleDecision(d *wire.Decision, live bool) {
 	if p.lastDec != nil && d.Subrun <= p.lastDec.Subrun {
 		return // stale
+	}
+	if live && p.joining && d.Subrun > p.subrun {
+		// Chase the group's rounds: a restarted member's round clock
+		// restarts at zero, and requests naming a stale subrun, or opening
+		// it in the decision phase, are never folded. A live decision left
+		// its coordinator as round 2·Subrun+1 opened there, so that round
+		// is taken as the current one. Where the local tick actually fell
+		// just before that round opened, this clock now leads the group's
+		// by less than a round, which coordinators absorb (early).
+		p.roundBias = 2*d.Subrun + 1 - p.lastRound
+		p.subrun = d.Subrun
 	}
 	if d.Subrun == p.subrun {
 		p.decisionThisSub = true
@@ -1025,13 +1055,6 @@ func (p *Process) applyDecision(d *wire.Decision) {
 
 	// Group composition: adopt the decision's membership verdicts.
 	p.adoptMask(d.Alive)
-	if p.joining && d.Subrun > p.subrun {
-		// Chase the group's subrun numbering: a restarted member's round
-		// clock restarts at zero, and requests naming a stale subrun are
-		// never folded.
-		p.subrunBias += d.Subrun - p.subrun
-		p.subrun = d.Subrun
-	}
 	if p.joinAligning && int(p.id) < len(d.MaxProcessed) && d.MaxProcessed[p.id] > p.nextSeq {
 		// Some member holds more of our previous incarnation's sequence
 		// than the sponsor did; resume past it.

@@ -16,6 +16,7 @@ type Submission struct {
 	Payload []byte
 	Deps    mid.DepList
 	Causal  bool
+	Sent    time.Time      // when the Send began, for the submit-wait histogram
 	Res     chan SubResult // receives the submit outcome (buffered, cap 1)
 	Confirm chan struct{}  // closed when the message is processed locally
 }
@@ -38,14 +39,16 @@ func (s *Submission) wireCost() int {
 	return 12 + 8*len(s.Deps) + len(s.Payload)
 }
 
-// Coalescer batches user submissions: Sends arriving within BatchWindow
-// (or until the count/byte budget fills first) are handed to the node
-// goroutine as ONE inbox event, so the protocol's outbox drains them as
-// DataBatch frames in the next subrun instead of dribbling one Data per
-// subrun. Confirm semantics are untouched — every Send still blocks until
-// its own message is processed locally.
+// Coalescer batches user submissions between round ticks. The protocol
+// broadcasts its outbox only when a subrun starts, so a submission gains
+// nothing by entering the loop before the next tick: the loop takes every
+// pending submission at each tick (Drain) as one batch, and the outbox
+// leaves that subrun as DataBatch frames instead of one Data per subrun.
+// A batch that fills the count or byte budget goes to the loop at once
+// instead, blocking the Send while the loop's inbox is full. Confirm
+// semantics are untouched — every Send still blocks until its own
+// message is processed locally.
 type Coalescer struct {
-	window   time.Duration
 	maxCount int
 	maxBytes int
 
@@ -59,15 +62,19 @@ type Coalescer struct {
 	mu      sync.Mutex
 	pending []*Submission
 	bytes   int
-	timer   *time.Timer
-	stopped bool
+	refusal error // non-nil: Add answers with it at once (Refuse, Stop)
+	stopped bool  // Stop's refusal is final
+
+	// spare is the slice Drain swaps in for pending, so steady-state
+	// draining allocates nothing. Loop goroutine only.
+	spare []*Submission
 }
 
 // NewCoalescer builds a coalescing sender. enqueue must hand a closure to
 // the loop goroutine that owns submit, blocking until accepted and failing
 // only on shutdown; observe (optional) receives the size of every flush.
-func NewCoalescer(window time.Duration, maxCount, maxBytes int,
-	enqueue func(func()) error, submit func(*Submission), observe func(int)) *Coalescer {
+func NewCoalescer(maxCount, maxBytes int, enqueue func(func()) error,
+	submit func(*Submission), observe func(int)) *Coalescer {
 	if maxCount <= 1 {
 		maxCount = core.DefaultBatchMax
 	}
@@ -75,7 +82,6 @@ func NewCoalescer(window time.Duration, maxCount, maxBytes int,
 		maxBytes = core.DefaultBatchBytes
 	}
 	return &Coalescer{
-		window:   window,
 		maxCount: maxCount,
 		maxBytes: maxBytes,
 		enqueue:  enqueue,
@@ -84,23 +90,24 @@ func NewCoalescer(window time.Duration, maxCount, maxBytes int,
 	}
 }
 
-// Add queues one submission. It returns once the submission is part of a
-// flushed or pending batch; the caller then waits on s.Res and s.Confirm
-// under its own context. After Stop, submissions fail immediately on Res.
+// Add queues one submission. It returns once the submission is pending for
+// the next Drain or part of a full batch handed to the loop; the caller
+// then waits on s.Res and s.Confirm under its own context. While refused
+// (Refuse, Stop), submissions fail immediately on Res.
 func (c *Coalescer) Add(s *Submission) {
 	c.mu.Lock()
-	if c.stopped {
+	if err := c.refusal; err != nil {
 		c.mu.Unlock()
-		s.Res <- SubResult{Err: ErrCoalescerStopped}
+		s.Res <- SubResult{Err: err}
 		return
 	}
 	c.pending = append(c.pending, s)
 	c.bytes += s.wireCost()
 	var batch []*Submission
 	if len(c.pending) >= c.maxCount || c.bytes >= c.maxBytes {
-		batch = c.take()
-	} else if len(c.pending) == 1 {
-		c.timer = time.AfterFunc(c.window, c.fire)
+		batch = c.pending
+		c.pending = nil
+		c.bytes = 0
 	}
 	c.mu.Unlock()
 	if batch != nil {
@@ -108,25 +115,76 @@ func (c *Coalescer) Add(s *Submission) {
 	}
 }
 
-// Stop fails every submission still pending inside an open batch window, so
-// no Send is left waiting on a confirm that can never come, and makes any
-// later Add fail the same way. Nil-safe; idempotent. The runtimes call it
-// on shutdown after closing their stop channels.
-func (c *Coalescer) Stop() {
+// Drain submits every pending submission, in arrival order. It must run on
+// the loop goroutine that owns submit — the runtime calls it at each round
+// tick, before the round starts. The two pending slices are swapped, not
+// reallocated.
+func (c *Coalescer) Drain() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.stopped = true
-	batch := c.take()
+	batch := c.pending
+	c.pending = c.spare[:0]
+	c.bytes = 0
+	c.mu.Unlock()
+	if len(batch) > 0 {
+		if c.observe != nil {
+			c.observe(len(batch))
+		}
+		for _, s := range batch {
+			c.submit(s)
+		}
+		clear(batch)
+	}
+	c.spare = batch[:0]
+}
+
+// Refuse answers every pending submission with err, and every later Add
+// until Admit — for a member that is fail-stopped, whose loop will not
+// drain. No effect after Stop. Nil-safe.
+func (c *Coalescer) Refuse(err error) { c.refuse(err, false) }
+
+// Admit ends a Refuse: later Adds pend again. No effect after Stop.
+// Nil-safe.
+func (c *Coalescer) Admit() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	if !c.stopped {
+		c.refusal = nil
+	}
+	c.mu.Unlock()
+}
+
+// Stop fails every submission still pending with ErrCoalescerStopped, so
+// no Send is left waiting on a confirm that can never come, and makes any
+// later Add fail the same way, for good. Nil-safe; idempotent. The
+// runtimes call it on shutdown after closing their stop channels.
+func (c *Coalescer) Stop() { c.refuse(ErrCoalescerStopped, true) }
+
+func (c *Coalescer) refuse(err error, final bool) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	if c.stopped {
+		c.mu.Unlock()
+		return
+	}
+	c.refusal, c.stopped = err, final
+	batch := c.pending
+	c.pending = nil
+	c.bytes = 0
 	c.mu.Unlock()
 	for _, s := range batch {
-		s.Res <- SubResult{Err: ErrCoalescerStopped}
+		s.Res <- SubResult{Err: err}
 	}
 }
 
-// Pending reports how many submissions sit inside the open batch window.
-// Nil-safe; for tests and introspection, not the hot path.
+// Pending reports how many submissions wait for the next Drain. Nil-safe;
+// for tests and introspection, not the hot path.
 func (c *Coalescer) Pending() int {
 	if c == nil {
 		return 0
@@ -136,29 +194,7 @@ func (c *Coalescer) Pending() int {
 	return len(c.pending)
 }
 
-// take must run under mu: it claims the pending batch and disarms the
-// window timer.
-func (c *Coalescer) take() []*Submission {
-	batch := c.pending
-	c.pending = nil
-	c.bytes = 0
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
-	return batch
-}
-
-func (c *Coalescer) fire() {
-	c.mu.Lock()
-	batch := c.take()
-	c.mu.Unlock()
-	if len(batch) > 0 {
-		c.flush(batch)
-	}
-}
-
-// flush hands the whole batch to the node goroutine as one inbox event.
+// flush hands a full batch to the node goroutine as one inbox event.
 // On shutdown every waiter is answered with the enqueue error instead of
 // being left to hang.
 func (c *Coalescer) flush(batch []*Submission) {

@@ -35,8 +35,8 @@ func TestCoalescedSendsConverge(t *testing.T) {
 	reg := obs.New()
 	cfg := liveConfig(3)
 	cfg.RoundDuration = time.Millisecond
-	// The window is deliberately huge next to the goroutine launch time:
-	// the flush that matters is the count-budget one at DefaultBatchMax.
+	// Any positive window turns coalescing on; the burst leaves in the
+	// count-budget flush at DefaultBatchMax or at the next round tick.
 	cfg.BatchWindow = 100 * time.Millisecond
 	cfg.Metrics = reg
 	c, err := topics.NewMultiCluster(cfg)
@@ -44,7 +44,7 @@ func TestCoalescedSendsConverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -88,7 +88,7 @@ func TestCoalescedCausalSendPreservesDeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -100,18 +100,36 @@ func TestCoalescedCausalSendPreservesDeps(t *testing.T) {
 	waitConverged(t, c, mid.SeqVector{4, 0, 0}, 15*time.Second)
 }
 
-// TestCoalescerFlushesOnWindow pins the timer path: a lone submission —
-// under every budget — must still flush once the window elapses.
+// waitRoundZero polls until every one of entities protocol entities has
+// ticked round 0, so a Send issued afterwards waits in the coalescer for
+// the next tick.
+func waitRoundZero(t *testing.T, reg *obs.Registry, entities int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for sumMetric(reg, "rt_rounds_total") < int64(entities) {
+		if time.Now().After(deadline) {
+			t.Fatal("round 0 never ticked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCoalescerFlushesOnWindow pins the tick path: a lone submission —
+// under every budget — issued between two round ticks must still enter
+// the protocol at the next tick and confirm.
 func TestCoalescerFlushesOnWindow(t *testing.T) {
+	reg := obs.New()
 	cfg := liveConfig(2)
-	cfg.RoundDuration = time.Millisecond
+	cfg.RoundDuration = 100 * time.Millisecond
 	cfg.BatchWindow = 2 * time.Millisecond
+	cfg.Metrics = reg
 	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
+	waitRoundZero(t, reg, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if _, err := c.Node(0).Send(ctx, 0, []byte("solo"), nil); err != nil {
@@ -121,12 +139,12 @@ func TestCoalescerFlushesOnWindow(t *testing.T) {
 }
 
 // TestCoalescerStopFailsPendingWindow pins the shutdown edge: submissions
-// queued inside an open batch window when Stop arrives must be answered —
-// each waiter gets rt.ErrCoalescerStopped on its Res channel — never left
-// blocked on a flush that will not happen.
+// pending for the next drain when Stop arrives must be answered — each
+// waiter gets rt.ErrCoalescerStopped on its Res channel — never left
+// blocked on a drain that will not happen.
 func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 	enqueued := 0
-	c := rt.NewCoalescer(time.Hour, 16, 1<<20,
+	c := rt.NewCoalescer(16, 1<<20,
 		func(fn func()) error { enqueued++; fn(); return nil },
 		func(s *rt.Submission) { t.Error("submission reached submit after Stop") },
 		nil)
@@ -141,7 +159,7 @@ func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 		c.Add(subs[i])
 	}
 	if enqueued != 0 {
-		t.Fatalf("window is an hour and budgets are slack, yet %d flushes ran early", enqueued)
+		t.Fatalf("nothing drained and budgets are slack, yet %d flushes ran early", enqueued)
 	}
 	c.Stop()
 	for i, s := range subs {
@@ -168,29 +186,77 @@ func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 	}
 }
 
+// TestCoalescerRefuseAndAdmit pins the fail-stop edge: Refuse answers
+// every pending submission and every later Add with its error, Admit lets
+// Adds pend again, and after Stop neither reopens the coalescer.
+func TestCoalescerRefuseAndAdmit(t *testing.T) {
+	c := rt.NewCoalescer(16, 1<<20,
+		func(fn func()) error { fn(); return nil },
+		func(s *rt.Submission) { t.Error("a refused submission reached submit") },
+		nil)
+	sub := func() *rt.Submission { return &rt.Submission{Res: make(chan rt.SubResult, 1)} }
+	answered := func(s *rt.Submission, want error) {
+		t.Helper()
+		select {
+		case r := <-s.Res:
+			if r.Err != want {
+				t.Errorf("err = %v, want %v", r.Err, want)
+			}
+		default:
+			t.Errorf("submission not answered, want %v", want)
+		}
+	}
+	errDown := fmt.Errorf("member down")
+	pending := sub()
+	c.Add(pending)
+	c.Refuse(errDown)
+	answered(pending, errDown)
+	late := sub()
+	c.Add(late)
+	answered(late, errDown)
+
+	c.Admit()
+	again := sub()
+	c.Add(again)
+	if c.Pending() != 1 {
+		t.Fatalf("after Admit an Add pends: %d pending, want 1", c.Pending())
+	}
+	c.Stop()
+	answered(again, rt.ErrCoalescerStopped)
+	c.Admit()
+	c.Refuse(errDown)
+	final := sub()
+	c.Add(final)
+	answered(final, rt.ErrCoalescerStopped)
+}
+
 // TestClusterStopUnblocksWindowedSends drives the same edge end to end: a
-// Send sitting inside an open window when the cluster stops must return an
+// Send pending in the coalescer when the cluster stops must return an
 // error instead of hanging on its confirm channel.
 func TestClusterStopUnblocksWindowedSends(t *testing.T) {
+	reg := obs.New()
 	cfg := liveConfig(2)
-	cfg.RoundDuration = time.Millisecond
-	cfg.BatchWindow = time.Hour // never fires: only Stop can resolve the Send
+	cfg.RoundDuration = time.Hour // round 1 never ticks: only Stop can resolve the Send
+	cfg.BatchWindow = time.Millisecond
+	cfg.Metrics = reg
 	c, err := topics.NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
+	t.Cleanup(c.Stop)
+	waitRoundZero(t, reg, 2)
 
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Node(0).Send(context.Background(), 0, []byte("stranded"), nil)
 		done <- err
 	}()
-	// The hour-long window holds the submission: nothing may resolve it
+	// The hour-long round holds the submission: nothing may resolve it
 	// before Stop.
 	select {
 	case err := <-done:
-		t.Fatalf("Send returned before Stop (err %v): the window did not hold it", err)
+		t.Fatalf("Send returned before Stop (err %v): the wait for the next tick did not hold it", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	c.Stop()
@@ -228,7 +294,7 @@ func TestUDPOversizeSendCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	node.Start()
-	defer node.Stop()
+	t.Cleanup(node.Stop)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -272,12 +338,8 @@ func TestUDPBatchedGroupConverges(t *testing.T) {
 	}
 	for _, node := range nodes {
 		node.Start()
+		t.Cleanup(node.Stop)
 	}
-	defer func() {
-		for _, node := range nodes {
-			node.Stop()
-		}
-	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

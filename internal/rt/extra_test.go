@@ -22,7 +22,7 @@ func TestConfigDefaultsFilled(t *testing.T) {
 		t.Error("indication queue default not filled")
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if _, err := c.Node(0).Send(ctx, 0, []byte("x"), nil); err != nil {
@@ -57,7 +57,7 @@ func TestKilledNodeRejectsSends(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	c.Node(1).Kill()
 	if !c.Node(1).Killed() {
 		t.Fatal("Killed not reported")
@@ -129,7 +129,7 @@ func TestIndicationOrderPerSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	const k = 5

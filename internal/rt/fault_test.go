@@ -35,7 +35,7 @@ func TestMeshFaultHookCrashAndConverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -101,12 +101,8 @@ func TestUDPGroupConvergesUnderFaults(t *testing.T) {
 	}
 	for _, node := range nodes {
 		node.Start()
+		t.Cleanup(node.Stop)
 	}
-	defer func() {
-		for _, node := range nodes {
-			node.Stop()
-		}
-	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -27,7 +27,7 @@ func TestProtocolHealthGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

@@ -33,7 +33,7 @@ func TestRestartedNodeRejoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 

@@ -47,6 +47,7 @@ func auditRun(t *testing.T, n int, udp bool) wireAudit {
 			}
 			nodes[i] = node
 			node.Start()
+			t.Cleanup(node.Stop)
 		}
 		stop = func() {
 			for _, node := range nodes {
@@ -62,6 +63,7 @@ func auditRun(t *testing.T, n int, udp bool) wireAudit {
 			nodes[i] = c.Node(mid.ProcID(i))
 		}
 		c.Start()
+		t.Cleanup(c.Stop)
 		stop = c.Stop
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

@@ -53,6 +53,7 @@ type NodeObs struct {
 
 	decisionLat *obs.Histogram
 	confirmLat  *obs.Histogram
+	submitWait  *obs.Histogram // Send → the submission entering the protocol
 
 	batchFrames *obs.Counter   // multi-message DataBatch frames broadcast
 	batchMsgs   *obs.Counter   // user messages carried by those frames
@@ -101,6 +102,7 @@ func NewNodeObs(reg *obs.Registry, id mid.ProcID, n, group int) *NodeObs {
 		stableSum:   reg.Gauge(l("core_stable_sum")),
 		decisionLat: reg.Histogram(l("rt_decision_latency_seconds"), obs.DurationBuckets),
 		confirmLat:  reg.Histogram(l("rt_confirm_latency_seconds"), obs.DurationBuckets),
+		submitWait:  reg.Histogram(l("rt_submit_wait_seconds"), obs.DurationBuckets),
 		batchFrames: reg.Counter(l("rt_batch_frames_total")),
 		batchMsgs:   reg.Counter(l("rt_batch_msgs_total")),
 		batchSize:   reg.Histogram(l("rt_batch_frame_msgs"), obs.LengthBuckets),
@@ -282,6 +284,15 @@ func (o *NodeObs) InboxDropped() {
 func (o *NodeObs) ObserveConfirm(t0 time.Time) {
 	if o != nil {
 		o.confirmLat.ObserveSince(t0)
+	}
+}
+
+// ObserveSubmitWait records how long one Send waited, from t0, before its
+// submission entered the protocol: the coalescer's wait for the round tick
+// plus the loop's inbox queue. Loop goroutine only.
+func (o *NodeObs) ObserveSubmitWait(t0 time.Time) {
+	if o != nil {
+		o.submitWait.ObserveSince(t0)
 	}
 }
 

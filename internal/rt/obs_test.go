@@ -31,7 +31,7 @@ func nodeGauge(reg *obs.Registry, name string, node int) int64 {
 
 // TestClusterMetrics runs a live in-process cluster with a metrics registry
 // and asserts the tentpole series move: rounds tick, decisions land,
-// confirms are timed, processed vectors stay monotone under concurrent
+// confirms and submit waits are timed, processed vectors stay monotone under concurrent
 // Status sampling, and the history-length gauge falls back once stability
 // cleaning has purged the delivered burst.
 func TestClusterMetrics(t *testing.T) {
@@ -43,7 +43,7 @@ func TestClusterMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -116,6 +116,9 @@ func TestClusterMetrics(t *testing.T) {
 		if dlat.Count() == 0 {
 			t.Errorf("node %d: rt_decision_latency_seconds never observed", i)
 		}
+		if got := reg.Histogram(series("rt_submit_wait_seconds", i), nil).Count(); got != perNode {
+			t.Errorf("node %d: rt_submit_wait_seconds count = %d, want one per send (%d)", i, got, perNode)
+		}
 	}
 
 	// The burst filled history buffers; with traffic stopped, the rounds
@@ -154,7 +157,7 @@ func TestMetricsServedOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	if _, err := c.Node(0).Send(ctx, 0, []byte("x"), nil); err != nil {
@@ -197,7 +200,7 @@ func TestUDPReaderCountsMalformedDatagrams(t *testing.T) {
 		t.Fatal(err)
 	}
 	node.Start()
-	defer node.Stop()
+	t.Cleanup(node.Stop)
 
 	conn, err := net.Dial("udp", node.LocalAddr().String())
 	if err != nil {
@@ -255,7 +258,7 @@ func TestInboxOverflowIsCountedAndTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	// A tiny inbox under concurrent traffic overflows quickly; the

@@ -74,7 +74,7 @@ func TestLiveClusterConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	const perProc = 6
@@ -105,7 +105,7 @@ func TestIndicationsAreCausallyOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
@@ -156,7 +156,7 @@ func TestSendRejectsBadDeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := c.Node(0).Send(ctx, 0, []byte("x"), mid.DepList{{Proc: 1, Seq: 99}}); err == nil {
@@ -170,7 +170,7 @@ func TestKilledNodeIsExcludedAndGroupContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -224,7 +224,7 @@ func TestSendCausal(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if _, err := c.Node(0).Send(ctx, 0, []byte("a"), nil); err != nil {
@@ -247,6 +247,7 @@ func TestStopUnblocksSenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
+	t.Cleanup(c.Stop)
 	done := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -52,12 +52,8 @@ func TestUDPGroupConverges(t *testing.T) {
 	}
 	for _, node := range nodes {
 		node.Start()
+		t.Cleanup(node.Stop)
 	}
-	defer func() {
-		for _, node := range nodes {
-			node.Stop()
-		}
-	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -27,6 +27,7 @@ func TestMeshCapturePerMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	payloads := [][]byte{[]byte("from-member-0"), []byte("from-member-1")}

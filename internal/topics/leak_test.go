@@ -33,7 +33,7 @@ func TestSendAbandonedDoesNotLeakWaiter(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 
 	n := c.Node(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -88,6 +88,7 @@ func TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	node.Start()
+	t.Cleanup(node.Stop)
 
 	// No round ticks before the deadline, so no submission can leave the
 	// outbox: the send is abandoned with its confirm still pending.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"urcgc/internal/core"
@@ -103,56 +104,100 @@ func (c *MultiCluster) Restart(ctx context.Context, i mid.ProcID) error {
 		s.mu.Unlock()
 	}
 	n.killed.Store(false)
+	for _, s := range n.sessions {
+		s.coal.Admit()
+	}
 	return nil
 }
 
 // clock drives rounds in lockstep: every protocol entity of every member
-// finishes round r before any starts r+1, and at least RoundDuration
-// elapses per round. Each round first fail-stops members whose crash the
-// fault hook has scheduled; a killed member's entities skip the tick. The
-// barrier's wait is the one cluster-wide series, rt_round_barrier_seconds.
+// finishes round r before any starts r+1, and rounds keep the configured
+// period (roundSchedule). Each round first fail-stops members whose crash
+// the fault hook has scheduled; a killed member's entities skip the tick.
+// The barrier's wait is the one cluster-wide series,
+// rt_round_barrier_seconds.
 func (c *MultiCluster) clock() {
 	var barrier *obs.Histogram
 	if c.cfg.Metrics != nil {
 		barrier = c.cfg.Metrics.Histogram("rt_round_barrier_seconds", obs.DurationBuckets)
 	}
-	dones := make([]chan struct{}, 0, c.cfg.N*c.cfg.Groups)
-	for round := 0; ; round++ {
+	// One tick closure per entity for the whole run: each reads the round
+	// number the clock published before enqueueing it, and the last one of
+	// a round to finish signals done.
+	var (
+		round   atomic.Int64
+		waiting atomic.Int64
+		done    = make(chan struct{}, 1)
+		ticks   = make([][]func(), len(c.nodes))
+	)
+	for i, n := range c.nodes {
+		for _, s := range n.sessions {
+			s := s
+			ticks[i] = append(ticks[i], func() {
+				s.tick(int(round.Load()))
+				if waiting.Add(-1) == 0 {
+					done <- struct{}{}
+				}
+			})
+		}
+	}
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
+	sched := roundSchedule{anchor: time.Now(), period: c.cfg.RoundDuration}
+	for r := 0; ; r++ {
 		start := time.Now()
-		r := round
-		dones = dones[:0]
-		for _, n := range c.nodes {
+		round.Store(int64(r))
+		waiting.Store(int64(c.cfg.N * c.cfg.Groups))
+		for i, n := range c.nodes {
 			n.crashCheck()
-			for _, s := range n.sessions {
-				s := s
+			for g, s := range n.sessions {
 				s.obs.SampleInbox(len(n.inbox))
-				done := make(chan struct{})
 				select {
-				case n.inbox <- func() { s.tick(r); close(done) }:
-					dones = append(dones, done)
+				case n.inbox <- ticks[i][g]:
 				case <-c.stopCh:
 					return
 				}
 			}
 		}
-		for _, done := range dones {
-			select {
-			case <-done:
-			case <-c.stopCh:
-				return
-			}
+		select {
+		case <-done:
+		case <-c.stopCh:
+			return
 		}
 		if barrier != nil {
 			barrier.ObserveSince(start)
 		}
-		if rest := c.cfg.RoundDuration - time.Since(start); rest > 0 {
+		if wait := sched.wait(r+1, time.Now()); wait > 0 {
+			timer.Reset(wait)
 			select {
-			case <-time.After(rest):
+			case <-timer.C:
 			case <-c.stopCh:
 				return
 			}
 		}
 	}
+}
+
+// roundSchedule paces the lockstep clock: round r is due at
+// anchor + (r−base)·period, whenever the previous round finished. A timer
+// that fires late or a slow barrier is thus absorbed by the next round's
+// sleep instead of pushing every later round back. A round more than a
+// whole period overdue starts at once and re-anchors the schedule there,
+// so a long stall is not followed by a burst of back-to-back rounds.
+type roundSchedule struct {
+	anchor time.Time
+	base   int
+	period time.Duration
+}
+
+// wait returns how long to sleep, at now, before round r starts.
+func (s *roundSchedule) wait(r int, now time.Time) time.Duration {
+	d := s.anchor.Add(time.Duration(r-s.base) * s.period).Sub(now)
+	if d < -s.period {
+		s.anchor, s.base = now, r
+	}
+	return max(d, 0)
 }
 
 // meshLink hands a frame straight to the destination member's ingress —

@@ -66,10 +66,13 @@ type Config struct {
 	// RoundDuration is the wall-clock round length, shared by all groups.
 	// Default 20ms over UDP, 2ms on the mesh.
 	RoundDuration time.Duration
-	// BatchWindow enables each group's coalescing sender: Sends arriving
-	// within this window (or until the BatchMax / BatchBytes budgets fill)
-	// enter the loop as one event and leave the next subrun as DataBatch
-	// frames. Zero disables coalescing.
+	// BatchWindow, when positive, enables each group's coalescing sender:
+	// Sends pending between two round ticks enter the protocol together at
+	// the next tick (or at once when the BatchMax / BatchBytes budgets
+	// fill) and leave the next subrun as DataBatch frames. Its length
+	// times nothing: the round tick is the only point where the outbox
+	// can leave, so every positive value means the same. Zero disables
+	// coalescing: each Send enters the loop on its own.
 	BatchWindow time.Duration
 	// InboxDepth bounds the member's inbox, the protocol loop's event queue
 	// (default 4096). A full inbox drops datagrams — an omission the
@@ -241,7 +244,7 @@ func (m *MultiNode) Start() {
 }
 
 // Stop halts every group and closes the socket. Submissions still pending
-// inside any group's open coalescer window are failed, never leaked.
+// in any group's coalescer are failed with ErrStopped, never leaked.
 func (m *MultiNode) Stop() {
 	m.stopOnce.Do(func() {
 		close(m.stopCh)
@@ -264,11 +267,24 @@ func (m *MultiNode) Groups() int { return len(m.sessions) }
 // Kill fail-stops the member in every hosted group: from now on it neither
 // ticks, nor emits, nor absorbs frames, and its Sends fail — exactly a
 // crashed site. The rest of each group detects the silence and excludes it.
-func (m *MultiNode) Kill() { m.killed.Store(true) }
+// Sends pending in a coalescer are answered here, since a killed member's
+// clock no longer ticks to drain them; later ones are refused on Add.
+func (m *MultiNode) Kill() {
+	if m.killed.Swap(true) {
+		return
+	}
+	for _, s := range m.sessions {
+		s.coal.Refuse(m.errKilled())
+	}
+}
 
 // Killed reports whether the member was fail-stopped. Safe from any
 // goroutine.
 func (m *MultiNode) Killed() bool { return m.killed.Load() }
+
+func (m *MultiNode) errKilled() error {
+	return fmt.Errorf("topics: member %d is %w", m.cfg.Self, ErrKilled)
+}
 
 func (m *MultiNode) session(group uint32) (*session, error) {
 	if int64(group) >= int64(len(m.sessions)) {
@@ -485,7 +501,7 @@ type session struct {
 	obs    *rt.NodeObs
 	gobs   *groupObs         // nil when metrics are disabled
 	tracer *lifecycle.Tracer // nil unless Config.Lifecycle is set
-	coal   *rt.Coalescer     // nil unless BatchWindow is set
+	coal   *rt.Coalescer     // nil unless BatchWindow is positive
 	ind    chan Indication
 
 	processed atomic.Int64
@@ -530,7 +546,7 @@ func newSession(m *MultiNode, group uint32) (*session, error) {
 	}
 	s.proc = proc
 	if cfg.BatchWindow > 0 {
-		s.coal = rt.NewCoalescer(cfg.BatchWindow, cfg.BatchMax, cfg.BatchBytes,
+		s.coal = rt.NewCoalescer(cfg.BatchMax, cfg.BatchBytes,
 			m.enqueueWait, s.submitNow, s.obs.Coalesced)
 	}
 	return s, nil
@@ -622,12 +638,14 @@ func (s *session) settleStable(clean mid.SeqVector) {
 	}
 }
 
-// tick hands round r to one group unless the member is fail-stopped.
-// Protocol loop only.
+// tick hands round r to one group unless the member is fail-stopped,
+// first moving every coalesced submission into the protocol's outbox, so a
+// subrun starting now broadcasts them. Protocol loop only.
 func (s *session) tick(r int) {
 	if s.m.Killed() {
 		return
 	}
+	s.coal.Drain()
 	s.obs.MarkRound(r)
 	s.proc.StartRound(r)
 }
@@ -644,13 +662,14 @@ func (s *session) left() (core.LeaveReason, bool) {
 // submitNow runs one queued submission. Protocol loop only.
 func (s *session) submitNow(sub *rt.Submission) {
 	if s.m.Killed() {
-		sub.Res <- rt.SubResult{Err: fmt.Errorf("topics: member %d is %w", s.m.cfg.Self, ErrKilled)}
+		sub.Res <- rt.SubResult{Err: s.m.errKilled()}
 		return
 	}
 	if _, left := s.left(); left {
 		sub.Res <- rt.SubResult{Err: s.errLeft()}
 		return
 	}
+	s.obs.ObserveSubmitWait(sub.Sent)
 	var id mid.MID
 	var err error
 	if sub.Causal {
@@ -686,6 +705,7 @@ func (s *session) send(ctx context.Context, payload []byte, deps mid.DepList, ca
 		Payload: payload,
 		Deps:    deps,
 		Causal:  causal,
+		Sent:    t0,
 		Res:     make(chan rt.SubResult, 1),
 		Confirm: make(chan struct{}),
 	}
@@ -701,6 +721,9 @@ func (s *session) send(ctx context.Context, payload []byte, deps mid.DepList, ca
 		return mid.MID{}, ErrStopped
 	case <-ctx.Done():
 		return mid.MID{}, ctx.Err()
+	}
+	if errors.Is(r.Err, rt.ErrCoalescerStopped) {
+		return mid.MID{}, ErrStopped
 	}
 	if r.Err != nil {
 		return mid.MID{}, r.Err

@@ -2,8 +2,10 @@ package topics
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -83,7 +85,7 @@ func TestMeshMultiGroupConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -137,7 +139,7 @@ func TestMeshCausalOrderPerGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -205,12 +207,8 @@ func TestUDPMultiGroupConverges(t *testing.T) {
 	}
 	for _, node := range nodes {
 		node.Start()
+		t.Cleanup(node.Stop)
 	}
-	defer func() {
-		for _, node := range nodes {
-			node.Stop()
-		}
-	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -284,14 +282,10 @@ func TestUDPInteropGroupZero(t *testing.T) {
 	}
 	for _, node := range single {
 		node.Start()
+		t.Cleanup(node.Stop)
 	}
 	multi.Start()
-	defer func() {
-		for _, node := range single {
-			node.Stop()
-		}
-		multi.Stop()
-	}()
+	t.Cleanup(multi.Stop)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -344,7 +338,7 @@ func TestLegacyNodeDropsGroupTaggedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	node.Start()
-	defer node.Stop()
+	t.Cleanup(node.Stop)
 
 	multi, err := NewMultiNode(Config{
 		Config:        core.Config{N: 2, K: 100, R: 256, SelfExclusion: true},
@@ -357,7 +351,7 @@ func TestLegacyNodeDropsGroupTaggedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	multi.Start()
-	defer multi.Stop()
+	t.Cleanup(multi.Stop)
 
 	// Group-1 traffic from the multi-group node reaches the single-group node's
 	// socket as group-tagged frames it must refuse.
@@ -397,7 +391,7 @@ func TestConcurrentDemuxShardDispatchStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	defer c.Stop()
+	t.Cleanup(c.Stop)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -466,18 +460,44 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// waitRoundZero polls until all entities protocol entities have ticked
+// round 0, so a Send issued afterwards waits for the next tick.
+func waitRoundZero(t *testing.T, reg *obs.Registry, entities int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var ticked int64
+		for name, v := range reg.Snapshot() {
+			if strings.HasPrefix(name, "rt_rounds_total") {
+				ticked += v
+			}
+		}
+		if ticked >= int64(entities) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("round 0 never ticked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestMultiNodeStopFailsPendingSends mirrors the coalescer shutdown edge
-// at the multi-group API: Sends stranded in an open window when Stop runs
+// at the multi-group API: Sends stranded in the coalescer when Stop runs
 // must error out, in every group, never hang.
 func TestMultiNodeStopFailsPendingSends(t *testing.T) {
 	const groups = 3
 	cfg := meshConfig(2, groups)
-	cfg.BatchWindow = time.Hour // only Stop can resolve these Sends
+	cfg.RoundDuration = time.Hour // only Stop can resolve these Sends
+	cfg.BatchWindow = time.Millisecond
+	cfg.Metrics = obs.New()
 	c, err := NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
+	t.Cleanup(c.Stop)
+	waitRoundZero(t, cfg.Metrics, 2*groups)
 
 	done := make(chan error, groups)
 	for g := 0; g < groups; g++ {
@@ -487,13 +507,13 @@ func TestMultiNodeStopFailsPendingSends(t *testing.T) {
 			done <- err
 		}()
 	}
-	// Wait until each submission is inside its coalescer window, so Stop
+	// Wait until each submission is pending in its coalescer, so Stop
 	// races against queued waiters rather than unstarted goroutines.
 	deadline := time.Now().Add(5 * time.Second)
 	for g := 0; g < groups; g++ {
 		for c.Node(0).sessions[g].coal.Pending() == 0 {
 			if time.Now().After(deadline) {
-				t.Fatal("submission never entered the coalescer window")
+				t.Fatal("submission never entered the coalescer")
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -508,5 +528,51 @@ func TestMultiNodeStopFailsPendingSends(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("Send leaked: still blocked after Stop")
 		}
+	}
+}
+
+// TestKillAnswersPendingSends pins the fail-stop edge of the coalescer: a
+// killed member drains nothing (over UDP its clock stops ticking), so Kill
+// itself must answer the Sends pending for the next tick with ErrKilled,
+// and later Sends must be refused the same way instead of hanging.
+func TestKillAnswersPendingSends(t *testing.T) {
+	cfg := meshConfig(2, 1)
+	cfg.RoundDuration = time.Hour // round 1 never ticks
+	cfg.BatchWindow = time.Millisecond
+	cfg.Metrics = obs.New()
+	c, err := NewMultiCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	t.Cleanup(c.Stop)
+	waitRoundZero(t, cfg.Metrics, 2)
+
+	node := c.Node(0)
+	done := make(chan error, 1)
+	go func() {
+		_, err := node.Send(context.Background(), 0, []byte("pending"), nil)
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for node.sessions[0].coal.Pending() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("submission never entered the coalescer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	node.Kill()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrKilled) {
+			t.Errorf("pending Send after Kill: err = %v, want ErrKilled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("pending Send still blocked after Kill")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := node.Send(ctx, 0, []byte("late"), nil); !errors.Is(err, ErrKilled) {
+		t.Errorf("Send to a killed member: err = %v, want ErrKilled", err)
 	}
 }

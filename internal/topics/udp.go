@@ -70,13 +70,16 @@ func (u *udpBackend) start(m *MultiNode) {
 	go func() { defer m.wg.Done(); u.tx.loop() }()
 }
 
-// clock drives every group's rounds off one free-running ticker. A
-// fail-stopped member stops ticking; a full inbox skips that group's
-// tick — an overload omission the protocol repairs.
+// clock drives every group's rounds off one free-running ticker, numbering
+// them by elapsed time (roundNumbers), so a tick the ticker drops skips its
+// round instead of leaving this member's subruns out of step with its
+// peers for good. A fail-stopped member stops ticking; a full inbox skips
+// that group's tick — an overload omission the protocol repairs. Both
+// kinds of skipped round count in topics_ticks_skipped_total.
 func (m *MultiNode) clock() {
 	t := time.NewTicker(m.cfg.RoundDuration)
 	defer t.Stop()
-	round := 0
+	rounds := newRoundNumbers(time.Now(), m.cfg.RoundDuration)
 	for {
 		select {
 		case <-m.stopCh:
@@ -86,22 +89,61 @@ func (m *MultiNode) clock() {
 		if m.crashCheck(); m.Killed() {
 			continue
 		}
-		r := round
-		round++
+		r, skipped := rounds.next(time.Now())
+		if skipped > 0 {
+			for _, s := range m.sessions {
+				m.countSkipped(s, skipped)
+			}
+			m.warnf("round clock fell behind: %d rounds skipped before round %d", skipped, r)
+		}
 		for _, s := range m.sessions {
 			s := s
 			s.obs.SampleInbox(len(m.inbox))
 			if !m.enqueue(s, func() { s.tick(r) }) {
-				if m.mobs != nil {
-					m.mobs.ticksSkipped.Inc()
-				}
-				if s.gobs != nil {
-					s.gobs.ticksSkipped.Inc()
-				}
+				m.countSkipped(s, 1)
 				m.warnf("group %d round tick %d skipped: inbox full (overload omission)", s.group, r)
 			}
 		}
 	}
+}
+
+// countSkipped charges k skipped rounds to one group and to the shared
+// counter, which therefore sums every group's.
+func (m *MultiNode) countSkipped(s *session, k int) {
+	if m.mobs != nil {
+		m.mobs.ticksSkipped.Add(int64(k))
+	}
+	if s.gobs != nil {
+		s.gobs.ticksSkipped.Add(int64(k))
+	}
+}
+
+// roundNumbers numbers a free-running clock's ticks by the time they are
+// handled: round r is due at start + (r+1)·period, the ticker's (r+1)-th
+// tick, and a tick handled at now starts round ⌊(now−start)/period⌋−1. A
+// dropped or late tick therefore skips round numbers rather than shifting
+// every later round, and no number repeats. The protocol already absorbs
+// such gaps, as it absorbs a tick skipped on a full inbox.
+type roundNumbers struct {
+	start  time.Time
+	period time.Duration
+	last   int
+}
+
+func newRoundNumbers(start time.Time, period time.Duration) *roundNumbers {
+	return &roundNumbers{start: start, period: period, last: -1}
+}
+
+// next numbers the round a tick handled at now starts, and reports how
+// many numbers it skipped past the previous round.
+func (n *roundNumbers) next(now time.Time) (r, skipped int) {
+	r = int(now.Sub(n.start)/n.period) - 1
+	if r <= n.last {
+		r = n.last + 1
+	}
+	skipped = r - n.last - 1
+	n.last = r
+	return r, skipped
 }
 
 // reader is the single demultiplexing receiver: it owns the receive buffer
